@@ -103,9 +103,6 @@ pub enum Command {
         sketch_seed: Option<u64>,
         /// Persistent-store root; checkpoints go to `<store-dir>/checkpoints`.
         store_dir: Option<PathBuf>,
-        /// Directory for periodic checkpoints (deprecated alias for
-        /// `--store-dir`; still accepted, used verbatim).
-        checkpoint_dir: Option<PathBuf>,
         /// Checkpoint every N chunks (default 1).
         checkpoint_every: usize,
         /// Resume from the newest checkpoint in the checkpoint directory
@@ -134,12 +131,8 @@ pub enum Command {
         /// Seed for the sketched strategy's randomized probe.
         sketch_seed: Option<u64>,
         /// Persistent-store root; per-shard checkpoints and WALs go to
-        /// `<store-dir>/checkpoints`.
+        /// `<store-dir>/checkpoints`. Enables crash recovery.
         store_dir: Option<PathBuf>,
-        /// Shared checkpoint directory (deprecated alias for
-        /// `--store-dir`; still accepted, used verbatim); enables
-        /// crash recovery.
-        checkpoint_dir: Option<PathBuf>,
         /// Checkpoint every N batches per shard (default 1).
         checkpoint_every: usize,
         /// Keep the newest K checkpoints per shard (default 3, 0 = all).
@@ -213,12 +206,12 @@ pub const USAGE: &str = "usage: imrdmd-cli <synth|fit|update|analyze|render|info
   stream  --input FILE.csv --dt SECONDS --model FILE.json [--chunk N] [--levels L] [--threads N]
           [--gap-policy reject|hold|interpolate|mask]
           [--fit-strategy exact|sketched] [--sketch-seed S]
-          [--store-dir DIR | --checkpoint-dir DIR (deprecated)]
+          [--store-dir DIR]
           [--checkpoint-every K] [--resume] [--metrics-every N]
   serve   --addr HOST:PORT --dt SECONDS [--levels L] [--threads N]
           [--gap-policy reject|hold|interpolate|mask]
           [--fit-strategy exact|sketched] [--sketch-seed S]
-          [--store-dir DIR | --checkpoint-dir DIR (deprecated)]
+          [--store-dir DIR]
           [--checkpoint-every K] [--keep-checkpoints K]
           [--durability none|interval|batch] [--max-body-mb M] [--max-tenants N]
           [--max-inflight N]
@@ -250,6 +243,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             return Err(CliError(format!("flag --{name} needs a value")));
         };
         flags.insert(name.to_string(), value.clone());
+    }
+    // Ignoring a removed durability flag would silently turn checkpoints off.
+    if flags.contains_key("checkpoint-dir") {
+        return Err(CliError(
+            "--checkpoint-dir was removed: use --store-dir DIR \
+             (checkpoints live in DIR/checkpoints)"
+                .into(),
+        ));
     }
     let get = |name: &str| -> Result<String, CliError> {
         flags
@@ -391,7 +392,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             fit_strategy: strategy(),
             sketch_seed: sketch_seed()?,
             store_dir: flags.get("store-dir").map(PathBuf::from),
-            checkpoint_dir: flags.get("checkpoint-dir").map(PathBuf::from),
             checkpoint_every: flags
                 .get("checkpoint-every")
                 .map(|v| v.parse())
@@ -429,7 +429,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             fit_strategy: strategy(),
             sketch_seed: sketch_seed()?,
             store_dir: flags.get("store-dir").map(PathBuf::from),
-            checkpoint_dir: flags.get("checkpoint-dir").map(PathBuf::from),
             checkpoint_every: flags
                 .get("checkpoint-every")
                 .map(|v| v.parse())
@@ -631,7 +630,6 @@ mod tests {
                 fit_strategy: "exact".into(),
                 sketch_seed: None,
                 store_dir: None,
-                checkpoint_dir: None,
                 checkpoint_every: 1,
                 resume: false,
                 metrics_every: 0,
@@ -720,19 +718,19 @@ mod tests {
     fn stream_resume_is_a_bare_flag() {
         let c = parse_args(&argv(
             "stream --input a.csv --dt 20 --model m.json \
-             --gap-policy hold --checkpoint-dir ckpts --checkpoint-every 4 --resume",
+             --gap-policy hold --store-dir store --checkpoint-every 4 --resume",
         ))
         .unwrap();
         match c {
             Command::Stream {
                 gap_policy,
-                checkpoint_dir,
+                store_dir,
                 checkpoint_every,
                 resume,
                 ..
             } => {
                 assert_eq!(gap_policy, "hold");
-                assert_eq!(checkpoint_dir, Some("ckpts".into()));
+                assert_eq!(store_dir, Some("store".into()));
                 assert_eq!(checkpoint_every, 4);
                 assert!(resume);
             }
@@ -766,7 +764,6 @@ mod tests {
                 fit_strategy: "exact".into(),
                 sketch_seed: None,
                 store_dir: None,
-                checkpoint_dir: None,
                 checkpoint_every: 1,
                 keep_checkpoints: 3,
                 durability: "interval".into(),
@@ -777,7 +774,7 @@ mod tests {
         );
         let c = parse_args(&argv(
             "serve --addr 0.0.0.0:9100 --dt 1 --levels 4 --threads 2 \
-             --gap-policy hold --checkpoint-dir ck --checkpoint-every 8 \
+             --gap-policy hold --store-dir ck --checkpoint-every 8 \
              --keep-checkpoints 5 --durability batch \
              --max-body-mb 4 --max-tenants 64 --max-inflight 16",
         ))
@@ -787,7 +784,7 @@ mod tests {
                 levels,
                 threads,
                 gap_policy,
-                checkpoint_dir,
+                store_dir,
                 checkpoint_every,
                 keep_checkpoints,
                 durability,
@@ -798,7 +795,7 @@ mod tests {
             } => {
                 assert_eq!((levels, threads), (4, 2));
                 assert_eq!(gap_policy, "hold");
-                assert_eq!(checkpoint_dir, Some("ck".into()));
+                assert_eq!(store_dir, Some("ck".into()));
                 assert_eq!((checkpoint_every, max_body_mb, max_tenants), (8, 4, 64));
                 assert_eq!((keep_checkpoints, max_inflight), (5, 16));
                 assert_eq!(durability, "batch");
@@ -865,20 +862,24 @@ mod tests {
     }
 
     #[test]
+    fn removed_checkpoint_dir_flag_is_an_error() {
+        for cmd in [
+            "stream --input a.csv --dt 20 --model m.json --checkpoint-dir c",
+            "serve --addr 127.0.0.1:0 --dt 20 --checkpoint-dir c",
+        ] {
+            let err = parse_args(&argv(cmd)).unwrap_err();
+            assert!(err.0.contains("--store-dir"), "{err}");
+        }
+    }
+
+    #[test]
     fn store_dir_parses_on_stream_and_serve() {
         let c = parse_args(&argv(
             "stream --input a.csv --dt 20 --model m.json --store-dir store",
         ))
         .unwrap();
         match c {
-            Command::Stream {
-                store_dir,
-                checkpoint_dir,
-                ..
-            } => {
-                assert_eq!(store_dir, Some("store".into()));
-                assert_eq!(checkpoint_dir, None);
-            }
+            Command::Stream { store_dir, .. } => assert_eq!(store_dir, Some("store".into())),
             _ => panic!("wrong variant"),
         }
         let c = parse_args(&argv("serve --addr 127.0.0.1:0 --dt 20 --store-dir store")).unwrap();

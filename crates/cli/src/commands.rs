@@ -71,7 +71,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             fit_strategy,
             sketch_seed,
             store_dir,
-            checkpoint_dir,
             checkpoint_every,
             resume,
             metrics_every,
@@ -86,7 +85,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             fit_strategy,
             sketch_seed: *sketch_seed,
             store_dir: store_dir.as_deref(),
-            checkpoint_dir: checkpoint_dir.as_deref(),
             checkpoint_every: *checkpoint_every,
             resume: *resume,
             metrics_every: *metrics_every,
@@ -101,7 +99,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             fit_strategy,
             sketch_seed,
             store_dir,
-            checkpoint_dir,
             checkpoint_every,
             keep_checkpoints,
             durability,
@@ -117,7 +114,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             fit_strategy,
             sketch_seed: *sketch_seed,
             store_dir: store_dir.as_deref(),
-            checkpoint_dir: checkpoint_dir.as_deref(),
             checkpoint_every: *checkpoint_every,
             keep_checkpoints: *keep_checkpoints,
             durability,
@@ -164,30 +160,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// Resolves the persistent-store flags into the directory checkpoints live
-/// in. `--store-dir` is the modern spelling (checkpoints under
-/// `<store-dir>/checkpoints`); `--checkpoint-dir` is a deprecated alias
-/// that still names its directory verbatim. Giving both is ambiguous.
-fn resolve_checkpoint_dir(
-    store_dir: Option<&Path>,
-    checkpoint_dir: Option<&Path>,
-) -> Result<Option<std::path::PathBuf>, CliError> {
-    match (store_dir, checkpoint_dir) {
-        (Some(_), Some(_)) => Err(CliError(
-            "--store-dir and --checkpoint-dir are aliases: give only one".into(),
-        )),
-        (Some(store), None) => Ok(Some(store.join("checkpoints"))),
-        (None, Some(dir)) => {
-            eprintln!(
-                "note: --checkpoint-dir is deprecated; use --store-dir DIR \
-                 (checkpoints then live in DIR/checkpoints)"
-            );
-            Ok(Some(dir.to_path_buf()))
-        }
-        (None, None) => Ok(None),
-    }
-}
-
 /// Borrowed view of [`Command::Fit`]'s flags.
 struct FitOpts<'a> {
     input: &'a Path,
@@ -212,7 +184,6 @@ struct StreamOpts<'a> {
     fit_strategy: &'a str,
     sketch_seed: Option<u64>,
     store_dir: Option<&'a Path>,
-    checkpoint_dir: Option<&'a Path>,
     checkpoint_every: usize,
     resume: bool,
     metrics_every: usize,
@@ -229,7 +200,6 @@ struct ServeOpts<'a> {
     fit_strategy: &'a str,
     sketch_seed: Option<u64>,
     store_dir: Option<&'a Path>,
-    checkpoint_dir: Option<&'a Path>,
     checkpoint_every: usize,
     keep_checkpoints: usize,
     durability: &'a str,
@@ -256,7 +226,7 @@ fn bind_server(o: &ServeOpts<'_>) -> Result<(imrdmd_serve::Server, usize, usize)
     let cfg = imrdmd_serve::ServeConfig {
         model: stream_config(o.dt, o.levels, 2, o.threads, strategy)?,
         policy,
-        checkpoint_dir: resolve_checkpoint_dir(o.store_dir, o.checkpoint_dir)?,
+        checkpoint_dir: o.store_dir.map(|d| d.join("checkpoints")),
         checkpoint_every: o.checkpoint_every.max(1),
         keep_checkpoints: o.keep_checkpoints,
         durability,
@@ -532,12 +502,10 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     }
     let policy = GapPolicy::parse(o.gap_policy)
         .ok_or_else(|| CliError(format!("unknown --gap-policy `{}`", o.gap_policy)))?;
-    let ckpt_dir = resolve_checkpoint_dir(o.store_dir, o.checkpoint_dir)?;
+    let ckpt_dir = o.store_dir.map(|d| d.join("checkpoints"));
     let ckpt_dir = ckpt_dir.as_deref();
     if o.resume && ckpt_dir.is_none() {
-        return Err(CliError(
-            "--resume needs --checkpoint-dir or --store-dir".into(),
-        ));
+        return Err(CliError("--resume needs --store-dir".into()));
     }
     let strategy = parse_fit_strategy(o.fit_strategy, o.sketch_seed)?;
     let data = load_csv(o.input)?;
@@ -648,13 +616,10 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Streams `input` through a fit (first chunk cold-start, rest dispatched
-/// through the batched execution [`Engine`]) and prints the final process
-/// metrics snapshot. Metrics are process-local, so the subcommand generates
-/// its own workload rather than reading a model file; routing the rounds
-/// through the engine makes the `batch.*` series (kernel groups dispatched,
-/// bypasses, ops per group) report the values a fleet deployment would see
-/// instead of zeros.
+/// Streams `input` through a fit (first chunk cold-start, rest through
+/// `partial_fit`) and prints the final process metrics snapshot. Metrics
+/// are process-local, so the subcommand generates its own workload rather
+/// than reading a model file.
 fn metrics(
     input: &Path,
     dt: f64,
@@ -685,20 +650,8 @@ fn metrics(
     let cfg = stream_config(dt, levels, 2, 0, strategy)?;
     let first = chunk.min(total);
     let mut model = IMrDmd::fit(&data.cols_range(0, first), &cfg);
-    let mut engine = Engine::with_threads(1);
-    let mut done = first;
-    while done < total {
-        let hi = (done + chunk).min(total);
-        let batch = data.cols_range(done, hi);
-        let mut jobs = vec![FleetJob {
-            tree: &mut model,
-            batch: &batch,
-            guard: None,
-        }];
-        for res in engine.run_fleet(&mut jobs) {
-            res.map_err(|e| CliError(format!("engine round failed: {e}")))?;
-        }
-        done = hi;
+    for lo in (first..total).step_by(chunk) {
+        model.partial_fit(&data.cols_range(lo, (lo + chunk).min(total)));
     }
     let snap = MetricsSnapshot::capture();
     Ok(match format {
@@ -1108,8 +1061,8 @@ mod tests {
         let csv = tmp("stream.csv");
         let model_a = tmp("stream_a.json");
         let model_b = tmp("stream_b.json");
-        let ckpts = tmp("stream_ckpts");
-        let _ = fs::remove_dir_all(&ckpts);
+        let store = tmp("stream_store");
+        let _ = fs::remove_dir_all(&store);
 
         run(&parse_args(&argv(&format!(
             "synth --nodes 16 --steps 600 --seed 3 --out {}",
@@ -1128,9 +1081,9 @@ mod tests {
 
         let r = run(&parse_args(&argv(&format!(
             "stream --input {} --dt 20 --chunk 100 --levels 4 --gap-policy hold \
-             --checkpoint-dir {} --checkpoint-every 2 --model {}",
+             --store-dir {} --checkpoint-every 2 --model {}",
             csv.display(),
-            ckpts.display(),
+            store.display(),
             model_a.display()
         )))
         .unwrap())
@@ -1145,9 +1098,9 @@ mod tests {
         // `--resume` rerun is a no-op that duplicates no work…
         let r = run(&parse_args(&argv(&format!(
             "stream --input {} --dt 20 --chunk 100 --gap-policy hold \
-             --checkpoint-dir {} --resume --model {}",
+             --store-dir {} --resume --model {}",
             csv.display(),
-            ckpts.display(),
+            store.display(),
             model_b.display()
         )))
         .unwrap())
@@ -1161,9 +1114,9 @@ mod tests {
         write_snapshots_csv(&mut f, &longer, 0).unwrap();
         let r = run(&parse_args(&argv(&format!(
             "stream --input {} --dt 20 --chunk 100 --gap-policy hold \
-             --checkpoint-dir {} --resume --model {}",
+             --store-dir {} --resume --model {}",
             csv.display(),
-            ckpts.display(),
+            store.display(),
             model_b.display()
         )))
         .unwrap())
@@ -1256,13 +1209,7 @@ mod tests {
         ))
         .unwrap())
         .unwrap_err();
-        assert!(err.0.contains("--resume needs --checkpoint-dir"), "{err}");
-        let err = run(&parse_args(&argv(
-            "stream --input a.csv --dt 20 --model m.json --store-dir s --checkpoint-dir c",
-        ))
-        .unwrap())
-        .unwrap_err();
-        assert!(err.0.contains("give only one"), "{err}");
+        assert!(err.0.contains("--resume needs --store-dir"), "{err}");
         let err = run(&parse_args(&argv("stream --input a.csv --dt 0 --model m.json")).unwrap())
             .unwrap_err();
         assert!(err.0.contains("--dt must be positive"), "{err}");
@@ -1378,7 +1325,6 @@ mod tests {
             fit_strategy: "exact",
             sketch_seed: None,
             store_dir: None,
-            checkpoint_dir: None,
             checkpoint_every: 1,
             keep_checkpoints: 3,
             durability: "interval",
@@ -1398,7 +1344,6 @@ mod tests {
             fit_strategy: "exact",
             sketch_seed: None,
             store_dir: None,
-            checkpoint_dir: None,
             checkpoint_every: 1,
             keep_checkpoints: 3,
             durability: "interval",
@@ -1423,7 +1368,6 @@ mod tests {
             fit_strategy: "exact",
             sketch_seed: None,
             store_dir: None,
-            checkpoint_dir: None,
             checkpoint_every: 1,
             keep_checkpoints: 3,
             durability: "interval",

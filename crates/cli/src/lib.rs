@@ -11,7 +11,7 @@
 //! imrdmd-cli render  --model model.json --input logs.csv --layout "xc40 …" --out rack.svg
 //! imrdmd-cli info    --model model.json
 //! imrdmd-cli stream  --input logs.csv --dt 20 --model model.json \
-//!                    --gap-policy hold --checkpoint-dir ckpts --resume --metrics-every 5
+//!                    --gap-policy hold --store-dir store --resume --metrics-every 5
 //! imrdmd-cli metrics --input logs.csv --dt 20 --format prom
 //! ```
 //!

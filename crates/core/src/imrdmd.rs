@@ -152,55 +152,10 @@ impl IMrDmdConfigBuilder {
     }
 }
 
-/// Summary of one incremental update.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct PartialFitReport {
-    /// Snapshots absorbed by this update.
-    pub batch_len: usize,
-    /// Decimated columns appended to the root SVD.
-    pub new_root_cols: usize,
-    /// Frobenius drift of the root reconstruction over the old timeline.
-    pub drift: f64,
-    /// Whether the drift exceeded the configured threshold.
-    pub stale: bool,
-    /// Modes extracted in the new window's subtree.
-    pub new_subtree_modes: usize,
-    /// Snapshots still buffered below `min_window`, awaiting a subtree fit.
-    pub pending: usize,
-    /// Node fits that failed numerically during this update (root or
-    /// subtree); the stream kept going with the failing windows degraded.
-    pub new_faults: usize,
-}
-
-/// Outcome of one guarded ingest ([`IMrDmd::try_partial_fit`]).
-#[deprecated(
-    since = "0.6.0",
-    note = "try_partial_fit now returns the unified `RoundReport`; \
-            convert with `RoundReport::into` if the old shape is needed"
-)]
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct IngestReport {
-    /// What the decomposition update did.
-    pub fit: PartialFitReport,
-    /// What the ingest guard repaired before the update.
-    pub repairs: RepairReport,
-}
-
-#[allow(deprecated)]
-impl From<RoundReport> for IngestReport {
-    fn from(r: RoundReport) -> IngestReport {
-        IngestReport {
-            fit: r.fit_summary(),
-            repairs: r.repairs,
-        }
-    }
-}
-
-/// Unified outcome of one streaming round ([`IMrDmd::try_partial_fit`]):
-/// what the decomposition did, what the ingest guard repaired, the node
-/// fits that failed during this round, and the post-round health snapshot.
-/// One struct replaces the former `IngestReport` + separate
-/// [`IMrDmd::fit_faults`]/[`IMrDmd::health`] follow-up calls.
+/// Outcome of one streaming round ([`IMrDmd::partial_fit`] or
+/// [`IMrDmd::try_partial_fit`]): what the decomposition did, what the
+/// ingest guard repaired, the node fits that failed during this round, and
+/// the post-round health snapshot.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RoundReport {
     /// Snapshots absorbed by this round.
@@ -225,27 +180,6 @@ pub struct RoundReport {
     pub faults: Vec<FitFault>,
     /// Health of the whole tree after the round.
     pub health: HealthSnapshot,
-}
-
-impl RoundReport {
-    /// The decomposition-only summary (the former `partial_fit` return).
-    pub fn fit_summary(&self) -> PartialFitReport {
-        PartialFitReport {
-            batch_len: self.batch_len,
-            new_root_cols: self.new_root_cols,
-            drift: self.drift,
-            stale: self.stale,
-            new_subtree_modes: self.new_subtree_modes,
-            pending: self.pending,
-            new_faults: self.new_faults,
-        }
-    }
-
-    /// The decomposition-only summary, under its historical name.
-    #[deprecated(since = "0.6.0", note = "use `fit_summary()` or the flat fields")]
-    pub fn fit(&self) -> PartialFitReport {
-        self.fit_summary()
-    }
 }
 
 /// Streaming multiresolution DMD state.
@@ -364,11 +298,7 @@ impl IMrDmd {
             last_eig_restarts: 0,
         };
         match state.try_solve_root(t) {
-            Ok((root, stats)) => {
-                state.root = root;
-                state.last_eig_iterations = stats.iterations;
-                state.last_eig_restarts = stats.restarts;
-            }
+            Ok(solved) => state.adopt_root(solved),
             Err(e) => {
                 // No previous modes to fall back on at the initial fit: the
                 // root stays empty and is reported degraded from step 0.
@@ -422,18 +352,18 @@ impl IMrDmd {
             rank: self.cfg.mr.rank,
             strategy: self.cfg.mr.strategy,
         };
-        let root_svd = match &self.sketch {
-            Some(sk) => sk.to_svd(),
-            None => self.isvd.to_svd(),
-        };
-        let dmd = Dmd::try_from_svd(&root_svd, &y, &self.sub_data, &dmd_cfg)?;
-        Ok(self.root_from_dmd(dmd, window))
-    }
-
-    /// Filters a solved root DMD down to its slow modes and packages the
-    /// level-1 [`ModeSet`] — the tail of [`Self::try_solve_root`], shared
-    /// with the batched execution engine's staged root solve.
-    pub(crate) fn root_from_dmd(&self, dmd: Dmd, window: usize) -> (ModeSet, EigStats) {
+        // The exact root reads the streaming SVD's factors in place.
+        let dmd = match &self.sketch {
+            Some(sk) => Dmd::try_from_svd(&sk.to_svd(), &y, &self.sub_data, &dmd_cfg),
+            None => Dmd::try_from_parts(
+                self.isvd.u(),
+                self.isvd.s(),
+                self.isvd.v(),
+                &y,
+                &self.sub_data,
+                &dmd_cfg,
+            ),
+        }?;
         let cutoff = self.cfg.mr.slow_cutoff_hz(window);
         let slow: Vec<usize> = dmd
             .frequencies()
@@ -448,7 +378,7 @@ impl IMrDmd {
             window as f64 * self.cfg.mr.dt,
             self.cfg.mr.max_window_growth,
         );
-        (
+        Ok((
             ModeSet {
                 level: 1,
                 start: 0,
@@ -461,185 +391,191 @@ impl IMrDmd {
                 amplitudes: slow.iter().map(|&i| dmd.amplitudes[i]).collect(),
             },
             dmd.eig_stats,
-        )
+        ))
+    }
+
+    /// Puts a freshly solved root in service and ends any failure streak.
+    fn adopt_root(&mut self, (root, stats): (ModeSet, EigStats)) {
+        self.root = root;
+        self.last_eig_iterations = stats.iterations;
+        self.last_eig_restarts = stats.restarts;
+        self.root_fail_streak = 0;
+        self.root_health = SubtreeHealth::Healthy;
     }
 
     /// Absorbs a batch of `T₁` new snapshots (columns) and updates the tree
     /// per Algorithm 1. Returns a report of what changed.
     ///
-    /// Thin wrapper over the guarded round ([`Self::try_partial_fit`] with
-    /// no ingest repair); panics on a row-count mismatch where the `try_`
-    /// variant returns an error.
-    pub fn partial_fit(&mut self, batch: &Mat) -> PartialFitReport {
+    /// The unguarded twin of [`Self::try_partial_fit`]: no ingest repair,
+    /// and a row-count mismatch panics where the `try_` variant returns an
+    /// error.
+    pub fn partial_fit(&mut self, batch: &Mat) -> RoundReport {
         assert_eq!(
             batch.rows(),
             self.p,
             "batch row count must match the stream"
         );
-        self.round(batch, RepairReport::default()).fit_summary()
+        self.round(batch, RepairReport::default())
     }
 
-    /// One instrumented streaming round: runs the Algorithm-1 update and
-    /// assembles the unified [`RoundReport`] (fit summary + this round's
-    /// faults + post-round health). Both public entry points funnel here.
+    /// One streaming round: the Algorithm-1 update (steps 1–5 of the module
+    /// doc) and its [`RoundReport`]. Every entry point funnels here —
+    /// [`Self::partial_fit`], [`Self::try_partial_fit`], the serving
+    /// daemon's ingest and its write-ahead-log replay.
     fn round(&mut self, batch: &Mat, repairs: RepairReport) -> RoundReport {
+        debug_assert_eq!(batch.rows(), self.p);
         let _span = crate::obs::ROUND_NS.span();
         crate::obs::ROUND_COUNT.inc();
         let faults_before = self.faults.len();
-        let fit = self.partial_fit_inner(batch);
-        crate::obs::FIT_FAULTS.add(fit.new_faults as u64);
-        crate::obs::ROUND_PENDING.set(fit.pending as f64);
-        crate::obs::ROUND_DRIFT.set(fit.drift);
+        let t1 = batch.cols();
+        let mut n_new = 0usize;
+        let mut drift = 0.0f64;
+        let mut root_failed = false;
+        let mut new_modes = 0usize;
+        if t1 > 0 {
+            let t_old = self.t_total;
+            let t_new = t_old + t1;
+
+            // (1) Extend the decimated root stream and the streaming SVD.
+            let mut new_cols: Vec<usize> = Vec::new(); // batch-local column indices
+            while self.next_sub_abs < t_new {
+                new_cols.push(self.next_sub_abs - t_old);
+                self.next_sub_abs += self.root_step;
+            }
+            n_new = new_cols.len();
+            let old_sub_cols = self.sub_data.cols();
+            if n_new > 0 {
+                let mut block = Mat::zeros(self.p, n_new);
+                for (k, &c) in new_cols.iter().enumerate() {
+                    block.set_col(k, &batch.col(c));
+                }
+                // The streaming SVD covers X = decimated[..n−1]; the previous
+                // last column now enters X together with all but the last of
+                // the new block.
+                let mut x_block = Mat::zeros(self.p, n_new);
+                x_block.set_col(0, &self.sub_data.col(old_sub_cols - 1));
+                for k in 0..n_new - 1 {
+                    x_block.set_col(k + 1, &block.col(k));
+                }
+                // A drift breach is recorded, not fatal: the update is
+                // already applied and the repair pass has done what it
+                // could. The sketched path refreshes its reused basis
+                // instead (infallible — residual directions are folded in,
+                // never drifted past).
+                if let Some(sk) = &mut self.sketch {
+                    sk.absorb(&x_block);
+                } else if let Err(e) = self.isvd.try_update(&x_block) {
+                    self.isvd_drift_breaches += 1;
+                    self.last_error = Some(e.to_string());
+                }
+                self.sub_data = self.sub_data.hstack(&block);
+            }
+
+            // (2) Updated level-1 modes over [0, T+T₁). A failed solve keeps
+            // the previous root (window-extended) and marks it degraded — the
+            // stream keeps absorbing batches on the old modes. `old_root` is
+            // what the drift scan compares against; a root that only had its
+            // window extended needs no scan when the scan is provably zero.
+            let old_root = if n_new > 0 {
+                let old_root =
+                    std::mem::replace(&mut self.root, empty_root(self.p, t_new, self.root_step));
+                match self.try_solve_root(t_new) {
+                    Ok(solved) => self.adopt_root(solved),
+                    Err(e) => {
+                        root_failed = true;
+                        self.root_fail_streak += 1;
+                        let cause = e.to_string();
+                        self.last_error = Some(cause.clone());
+                        // Degradation onset is the step of the *first*
+                        // failure of the current streak.
+                        let since = match &self.root_health {
+                            SubtreeHealth::Degraded { since, .. }
+                            | SubtreeHealth::Stale { since, .. } => *since,
+                            SubtreeHealth::Healthy => t_new,
+                        };
+                        self.root_health = if self.root_fail_streak >= ROOT_STALE_AFTER {
+                            SubtreeHealth::Stale { since, cause }
+                        } else {
+                            SubtreeHealth::Degraded { since, cause }
+                        };
+                        self.root = old_root.clone();
+                        self.root.window = t_new;
+                    }
+                }
+                Some(old_root)
+            } else if drift_scan_is_provably_zero(
+                &self.root,
+                old_sub_cols,
+                self.root_step,
+                self.cfg.mr.dt,
+            ) {
+                self.root.window = t_new;
+                None
+            } else {
+                let old_root = self.root.clone();
+                self.root.window = t_new;
+                Some(old_root)
+            };
+
+            // (5) Drift of the root reconstruction over the old timeline,
+            // measured on the decimated grid.
+            if let Some(old_root) = &old_root {
+                drift = self.root_drift(old_root, old_sub_cols);
+            }
+            self.drift_log.push(drift);
+            if let Some(th) = self.cfg.drift_threshold {
+                if drift > th {
+                    self.stale = true;
+                }
+            }
+
+            // (3)+(4) Accumulate the batch into the pending window; once
+            // `min_window` snapshots are pending, shift the previous nodes
+            // one level down (Fig. 1(c): the timeline now splits at the
+            // pending window's start) and run the multiresolution recursion
+            // over the pending window only. Sub-`min_window` batches
+            // therefore accumulate instead of silently losing their residual.
+            self.t_total = t_new;
+            if let Some(h) = &mut self.history {
+                *h = h.hstack(batch);
+            }
+            if self.cfg.mr.max_levels >= 2 {
+                self.pending = if self.pending.cols() == 0 {
+                    batch.clone()
+                } else {
+                    self.pending.hstack(batch)
+                };
+                if self.pending.cols() >= self.cfg.mr.min_window {
+                    new_modes = self.flush_pending_window();
+                }
+            }
+            if self.stale && self.cfg.auto_refresh && self.history.is_some() {
+                self.refresh_subtrees();
+            }
+        }
+        // An auto-refresh replaces the fault list, so it may have shrunk.
+        let faults = self
+            .faults
+            .get(faults_before..)
+            .unwrap_or_default()
+            .to_vec();
+        let new_faults = faults.len() + usize::from(root_failed);
+        crate::obs::FIT_FAULTS.add(new_faults as u64);
+        crate::obs::ROUND_PENDING.set(self.pending.cols() as f64);
+        crate::obs::ROUND_DRIFT.set(drift);
         let health = self.health();
         crate::obs::HEALTH_COVERAGE.set(health.coverage);
         RoundReport {
-            batch_len: fit.batch_len,
-            new_root_cols: fit.new_root_cols,
-            drift: fit.drift,
-            stale: fit.stale,
-            new_subtree_modes: fit.new_subtree_modes,
-            pending: fit.pending,
-            new_faults: fit.new_faults,
-            repairs,
-            faults: self.faults[faults_before..].to_vec(),
-            health,
-        }
-    }
-
-    /// The Algorithm-1 update proper (steps 1–5 of the module doc).
-    fn partial_fit_inner(&mut self, batch: &Mat) -> PartialFitReport {
-        debug_assert_eq!(batch.rows(), self.p);
-        let t1 = batch.cols();
-        if t1 == 0 {
-            return PartialFitReport {
-                batch_len: 0,
-                new_root_cols: 0,
-                drift: 0.0,
-                stale: self.stale,
-                new_subtree_modes: 0,
-                pending: self.pending.cols(),
-                new_faults: 0,
-            };
-        }
-        let faults_before = self.faults.len();
-        let mut root_failed = false;
-        let t_old = self.t_total;
-        let t_new = t_old + t1;
-
-        // (1) Extend the decimated root stream and the streaming SVD.
-        let mut new_cols: Vec<usize> = Vec::new(); // batch-local column indices
-        while self.next_sub_abs < t_new {
-            new_cols.push(self.next_sub_abs - t_old);
-            self.next_sub_abs += self.root_step;
-        }
-        let n_new = new_cols.len();
-        let old_sub_cols = self.sub_data.cols();
-        if n_new > 0 {
-            let mut block = Mat::zeros(self.p, n_new);
-            for (k, &c) in new_cols.iter().enumerate() {
-                block.set_col(k, &batch.col(c));
-            }
-            // The streaming SVD covers X = decimated[..n−1]; the previous
-            // last column now enters X together with all but the last of the
-            // new block.
-            let prev_last = self.sub_data.col(old_sub_cols - 1);
-            let mut x_block = Mat::zeros(self.p, n_new);
-            x_block.set_col(0, &prev_last);
-            for k in 0..n_new - 1 {
-                x_block.set_col(k + 1, &block.col(k));
-            }
-            // A drift breach is recorded, not fatal: the update is already
-            // applied and the repair pass has done what it could. The
-            // sketched path refreshes its reused basis instead (infallible —
-            // residual directions are folded in, never drifted past).
-            if let Some(sk) = &mut self.sketch {
-                sk.absorb(&x_block);
-            } else if let Err(e) = self.isvd.try_update(&x_block) {
-                self.isvd_drift_breaches += 1;
-                self.last_error = Some(e.to_string());
-            }
-            self.sub_data = self.sub_data.hstack(&block);
-        }
-
-        // (2) Updated level-1 modes over [0, T+T₁). A failed solve keeps the
-        // previous root (window-extended) and marks it degraded — the stream
-        // keeps absorbing batches on the old modes.
-        let old_root = std::mem::replace(&mut self.root, empty_root(self.p, t_new, self.root_step));
-        self.root = if n_new > 0 {
-            match self.try_solve_root(t_new) {
-                Ok((root, stats)) => {
-                    self.last_eig_iterations = stats.iterations;
-                    self.last_eig_restarts = stats.restarts;
-                    self.root_fail_streak = 0;
-                    self.root_health = SubtreeHealth::Healthy;
-                    root
-                }
-                Err(e) => {
-                    root_failed = true;
-                    self.root_fail_streak += 1;
-                    let cause = e.to_string();
-                    self.last_error = Some(cause.clone());
-                    // Degradation onset is the step of the *first* failure of
-                    // the current streak.
-                    let since = match &self.root_health {
-                        SubtreeHealth::Degraded { since, .. }
-                        | SubtreeHealth::Stale { since, .. } => *since,
-                        SubtreeHealth::Healthy => t_new,
-                    };
-                    self.root_health = if self.root_fail_streak >= ROOT_STALE_AFTER {
-                        SubtreeHealth::Stale { since, cause }
-                    } else {
-                        SubtreeHealth::Degraded { since, cause }
-                    };
-                    extend_window(old_root.clone(), t_new)
-                }
-            }
-        } else {
-            extend_window(old_root.clone(), t_new)
-        };
-
-        // (5) Drift of the root reconstruction over the old timeline,
-        // measured on the decimated grid.
-        let drift = self.root_drift(&old_root, old_sub_cols);
-        self.drift_log.push(drift);
-        if let Some(th) = self.cfg.drift_threshold {
-            if drift > th {
-                self.stale = true;
-            }
-        }
-
-        // (3)+(4) Accumulate the batch into the pending window; once
-        // `min_window` snapshots are pending, shift the previous nodes one
-        // level down (Fig. 1(c): the timeline now splits at the pending
-        // window's start) and run the multiresolution recursion over the
-        // pending window only. Sub-`min_window` batches therefore accumulate
-        // instead of silently losing their residual.
-        self.t_total = t_new;
-        if let Some(h) = &mut self.history {
-            *h = h.hstack(batch);
-        }
-        let mut new_modes = 0usize;
-        if self.cfg.mr.max_levels >= 2 {
-            self.pending = if self.pending.cols() == 0 {
-                batch.clone()
-            } else {
-                self.pending.hstack(batch)
-            };
-            if self.pending.cols() >= self.cfg.mr.min_window {
-                new_modes = self.flush_pending_window();
-            }
-        }
-        if self.stale && self.cfg.auto_refresh && self.history.is_some() {
-            self.refresh_subtrees();
-        }
-        PartialFitReport {
             batch_len: t1,
             new_root_cols: n_new,
             drift,
             stale: self.stale,
             new_subtree_modes: new_modes,
             pending: self.pending.cols(),
-            new_faults: self.faults.len().saturating_sub(faults_before) + usize::from(root_failed),
+            new_faults,
+            repairs,
+            faults,
+            health,
         }
     }
 
@@ -702,9 +638,6 @@ impl IMrDmd {
     /// (shape mismatch, non-finite values under
     /// [`GapPolicy::Reject`](crate::ingest::GapPolicy::Reject)) surfaces as
     /// a [`CoreError`] instead of a panic or a silently poisoned SVD.
-    ///
-    /// Returns the unified [`RoundReport`]; the former `IngestReport` shape
-    /// is available via `From`/`Into`.
     pub fn try_partial_fit(
         &mut self,
         batch: &Mat,
@@ -722,14 +655,17 @@ impl IMrDmd {
 
     /// Frobenius norm of the difference between the current and previous
     /// root reconstructions over the previous timeline, evaluated at the
-    /// decimated snapshots (cheap: `O(P·r·n_sub)`).
+    /// decimated snapshots (cheap: `O(P·r·n_sub)`) into buffers reused
+    /// across the scan.
     fn root_drift(&self, old_root: &ModeSet, old_sub_cols: usize) -> f64 {
         let dt = self.cfg.mr.dt;
+        let (mut new_w, mut old_w) = (Vec::new(), Vec::new());
+        let (mut new_col, mut old_col) = (Vec::new(), Vec::new());
         let mut acc = 0.0f64;
         for k in 0..old_sub_cols {
             let abs = k * self.root_step;
-            let new_col = self.root.eval_extrapolated(abs, dt);
-            let old_col = old_root.eval_extrapolated(abs, dt);
+            eval_extrapolated_into(&self.root, abs, dt, &mut new_w, &mut new_col);
+            eval_extrapolated_into(old_root, abs, dt, &mut old_w, &mut old_col);
             acc += new_col
                 .iter()
                 .zip(&old_col)
@@ -1026,13 +962,7 @@ impl IMrDmd {
         }
         // Root modes now cover all rows.
         match self.try_solve_root(self.t_total) {
-            Ok((root, stats)) => {
-                self.root = root;
-                self.last_eig_iterations = stats.iterations;
-                self.last_eig_restarts = stats.restarts;
-                self.root_fail_streak = 0;
-                self.root_health = SubtreeHealth::Healthy;
-            }
+            Ok(solved) => self.adopt_root(solved),
             Err(e) => {
                 // The previous root (covering only the old rows) stays in
                 // service; the appended rows get no root contribution until
@@ -1134,64 +1064,6 @@ impl IMrDmd {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batched-engine staging.
-//
-// `crate::engine` drives a fleet of trees through one round each with the
-// stages below, interleaved across trees so the kernel work (ISVD basis
-// projections, root `B = Y·vs` products) batches into packed cross-tree
-// passes. Each stage mirrors the corresponding fragment of
-// `partial_fit_inner` *exactly* — same arithmetic, same order — so an
-// engine-driven round is bitwise-identical to the legacy per-tree round.
-// `partial_fit_inner` itself is untouched and remains the reference (and the
-// benchmark baseline).
-// ---------------------------------------------------------------------------
-
-/// Per-tree state carried between the stages of one engine-driven round: the
-/// locals of `partial_fit_inner`, lifted into a struct so many trees' rounds
-/// can be in flight at once.
-pub(crate) struct EngineRound {
-    pub(crate) t1: usize,
-    pub(crate) t_new: usize,
-    pub(crate) n_new: usize,
-    pub(crate) old_sub_cols: usize,
-    pub(crate) faults_before: usize,
-    pub(crate) root_failed: bool,
-    /// Decimated new columns (`p × n_new`), appended to `sub_data` at fold.
-    pub(crate) block: Mat,
-    /// Shifted columns entering the streaming SVD's `X` (`p × n_new`).
-    pub(crate) x_block: Mat,
-    /// Basis projection `Uᵀ·x_block` (`rank × n_new`) — filled by the
-    /// engine's batched projection pass before the fold stage.
-    pub(crate) d: Mat,
-    /// The displaced root, kept for window extension on failure and for the
-    /// drift measurement.
-    pub(crate) old_root: Option<ModeSet>,
-    /// Deferred root solve (present when the rank-resolved fit owes its
-    /// `B = Y·vs` product to the cross-tree batch).
-    pub(crate) root_stage: Option<RootStage>,
-    pub(crate) drift: f64,
-}
-
-/// The deferred root product: `b = y · plan.vs`, executed by the engine's
-/// GEMM batch between [`IMrDmd::engine_root_begin`] and
-/// [`IMrDmd::engine_root_finish`].
-pub(crate) struct RootStage {
-    pub(crate) plan: crate::dmd::DmdPlan,
-    pub(crate) y: Mat,
-    pub(crate) b: Mat,
-}
-
-/// Reusable buffers for the alloc-free drift stage; owned by the engine and
-/// shared across every tree in the fleet (the stage is serial per tree).
-#[derive(Default)]
-pub(crate) struct DriftScratch {
-    new_w: Vec<hpc_linalg::c64>,
-    old_w: Vec<hpc_linalg::c64>,
-    new_col: Vec<f64>,
-    old_col: Vec<f64>,
-}
-
 /// [`ModeSet::eval_extrapolated`] into caller-owned buffers: identical
 /// arithmetic (weights in mode order, `mul_add` accumulation per row), no
 /// per-call allocation.
@@ -1233,8 +1105,7 @@ fn eval_extrapolated_into(
 /// accumulated drift is exactly `+0.0`. The guard proves every intermediate
 /// of the evaluation stays finite by bounding the mode-weight magnitudes over
 /// the scanned time range; any non-finite input (where `x − x` would be NaN)
-/// makes it return `false` and the caller falls back to the mirrored legacy
-/// scan.
+/// makes it return `false` and the round runs the full scan.
 fn drift_scan_is_provably_zero(
     node: &ModeSet,
     old_sub_cols: usize,
@@ -1288,290 +1159,12 @@ fn drift_scan_is_provably_zero(
 }
 
 impl IMrDmd {
-    /// The active root basis the engine's batched projection pass multiplies
-    /// against: the sketch's reused range basis under `Sketched`, the
-    /// streaming SVD's left factor otherwise.
-    pub(crate) fn root_basis(&self) -> &Mat {
-        match &self.sketch {
-            Some(sk) => sk.basis(),
-            None => self.isvd.u(),
-        }
-    }
-
     /// The streaming sketch behind the root fit, when the tree was built
     /// with [`FitStrategy::Sketched`]. Test-only introspection hook for the
     /// basis-reuse invariant.
     #[cfg(test)]
     pub(crate) fn sketch_state(&self) -> Option<&SketchSvd> {
         self.sketch.as_ref()
-    }
-
-    /// Faults recorded since index `n`, for the engine's report assembly.
-    pub(crate) fn faults_since(&self, n: usize) -> Vec<FitFault> {
-        self.faults[n.min(self.faults.len())..].to_vec()
-    }
-
-    /// Stage 1 — mirrors `partial_fit_inner` step (1) up to (but excluding)
-    /// the ISVD update: bookkeeping, the decimated block, and the shifted
-    /// `X` block. The basis projection `d` is sized here and filled by the
-    /// engine's batched pass.
-    pub(crate) fn engine_begin(&mut self, batch: &Mat) -> EngineRound {
-        debug_assert_eq!(batch.rows(), self.p);
-        let t1 = batch.cols();
-        let t_old = self.t_total;
-        let t_new = t_old + t1;
-        let faults_before = self.faults.len();
-        let mut new_cols: Vec<usize> = Vec::new();
-        if t1 > 0 {
-            while self.next_sub_abs < t_new {
-                new_cols.push(self.next_sub_abs - t_old);
-                self.next_sub_abs += self.root_step;
-            }
-        }
-        let n_new = new_cols.len();
-        let old_sub_cols = self.sub_data.cols();
-        let (block, x_block) = if n_new > 0 {
-            let mut block = Mat::zeros(self.p, n_new);
-            for (k, &c) in new_cols.iter().enumerate() {
-                block.set_col(k, &batch.col(c));
-            }
-            let prev_last = self.sub_data.col(old_sub_cols - 1);
-            let mut x_block = Mat::zeros(self.p, n_new);
-            x_block.set_col(0, &prev_last);
-            for k in 0..n_new - 1 {
-                x_block.set_col(k + 1, &block.col(k));
-            }
-            (block, x_block)
-        } else {
-            (Mat::zeros(self.p, 0), Mat::zeros(self.p, 0))
-        };
-        let d = Mat::zeros(self.root_basis().cols(), n_new);
-        EngineRound {
-            t1,
-            t_new,
-            n_new,
-            old_sub_cols,
-            faults_before,
-            root_failed: false,
-            block,
-            x_block,
-            d,
-            old_root: None,
-            root_stage: None,
-            drift: 0.0,
-        }
-    }
-
-    /// Stage 3 — folds the batch-computed projection into the streaming SVD
-    /// and appends the decimated block, mirroring the `n_new > 0` arm of
-    /// step (1).
-    pub(crate) fn engine_fold(&mut self, r: &EngineRound) {
-        if r.n_new == 0 {
-            return;
-        }
-        // A drift breach is recorded, not fatal — exactly as in the legacy
-        // path. The sketched arm folds the batch-computed projection into
-        // the reused basis, bitwise-identical to a standalone absorb.
-        if let Some(sk) = &mut self.sketch {
-            sk.absorb_projected(&r.x_block, &r.d);
-        } else if let Err(e) = self.isvd.try_update_with_projection(&r.x_block, &r.d) {
-            self.isvd_drift_breaches += 1;
-            self.last_error = Some(e.to_string());
-        }
-        self.sub_data = self.sub_data.hstack(&r.block);
-    }
-
-    /// Stage 4 — mirrors step (2) up to the point where the root fit owes
-    /// its `B = Y·vs` product: displaces the root, rank-resolves the fit,
-    /// and either completes it (rank 0), defers it into `root_stage`, or
-    /// degrades on a prepare error.
-    pub(crate) fn engine_root_begin(&mut self, r: &mut EngineRound) {
-        if r.n_new == 0 {
-            // No decimated column crossed the root step: the legacy path
-            // clones the root to window-extend it, then drift-scans the
-            // extension against the original — provably `+0.0` when the
-            // evaluation stays finite. Skip both; `old_root` stays `None`,
-            // so `engine_drift` degenerates to the same `drift = 0.0`.
-            if drift_scan_is_provably_zero(
-                &self.root,
-                r.old_sub_cols,
-                self.root_step,
-                self.cfg.mr.dt,
-            ) {
-                self.root.window = r.t_new;
-                return;
-            }
-            // Non-finite modes (NaN drift in the legacy scan): mirror the
-            // legacy clone + scan exactly.
-            let old_root =
-                std::mem::replace(&mut self.root, empty_root(self.p, r.t_new, self.root_step));
-            self.root = extend_window(old_root.clone(), r.t_new);
-            r.old_root = Some(old_root);
-            return;
-        }
-        let old_root =
-            std::mem::replace(&mut self.root, empty_root(self.p, r.t_new, self.root_step));
-        let n_sub = self.sub_data.cols();
-        let y = self.sub_data.cols_range(1, n_sub);
-        let dmd_cfg = DmdConfig {
-            dt: self.cfg.mr.dt * self.root_step as f64,
-            rank: self.cfg.mr.rank,
-            strategy: self.cfg.mr.strategy,
-        };
-        let prep = match &self.sketch {
-            Some(sk) => {
-                let f = sk.to_svd();
-                Dmd::try_prepare(&f, &y, &dmd_cfg)
-            }
-            None => {
-                Dmd::try_prepare_parts(self.isvd.u(), self.isvd.s(), self.isvd.v(), &y, &dmd_cfg)
-            }
-        };
-        match prep {
-            Ok(crate::dmd::DmdPrep::Done(dmd)) => {
-                let (root, stats) = self.root_from_dmd(dmd, r.t_new);
-                self.engine_root_success(root, stats);
-            }
-            Ok(crate::dmd::DmdPrep::Plan(plan)) => {
-                let b = Mat::zeros(y.rows(), plan.u.cols());
-                r.root_stage = Some(RootStage { plan, y, b });
-            }
-            Err(e) => {
-                r.root_failed = true;
-                self.engine_root_failure(e, r.t_new, &old_root);
-            }
-        }
-        r.old_root = Some(old_root);
-    }
-
-    /// Stage 6 — completes a deferred root solve from the batch-computed
-    /// product, mirroring the success/failure arms of step (2).
-    pub(crate) fn engine_root_finish(&mut self, r: &mut EngineRound) {
-        let Some(stage) = r.root_stage.take() else {
-            return;
-        };
-        match Dmd::try_finish(&stage.plan, &stage.b, &self.sub_data) {
-            Ok(dmd) => {
-                let (root, stats) = self.root_from_dmd(dmd, r.t_new);
-                self.engine_root_success(root, stats);
-            }
-            Err(e) => {
-                r.root_failed = true;
-                if let Some(old_root) = &r.old_root {
-                    self.engine_root_failure(e, r.t_new, old_root);
-                }
-            }
-        }
-    }
-
-    /// Success arm of the root solve — mirror of the `Ok` arm in
-    /// `partial_fit_inner` step (2).
-    fn engine_root_success(&mut self, root: ModeSet, stats: EigStats) {
-        self.last_eig_iterations = stats.iterations;
-        self.last_eig_restarts = stats.restarts;
-        self.root_fail_streak = 0;
-        self.root_health = SubtreeHealth::Healthy;
-        self.root = root;
-    }
-
-    /// Failure arm of the root solve — mirror of the `Err` arm in
-    /// `partial_fit_inner` step (2): the previous root stays in service,
-    /// window-extended and marked degraded (stale after
-    /// [`ROOT_STALE_AFTER`] consecutive failures).
-    fn engine_root_failure(&mut self, e: CoreError, t_new: usize, old_root: &ModeSet) {
-        self.root_fail_streak += 1;
-        let cause = e.to_string();
-        self.last_error = Some(cause.clone());
-        let since = match &self.root_health {
-            SubtreeHealth::Degraded { since, .. } | SubtreeHealth::Stale { since, .. } => *since,
-            SubtreeHealth::Healthy => t_new,
-        };
-        self.root_health = if self.root_fail_streak >= ROOT_STALE_AFTER {
-            SubtreeHealth::Stale { since, cause }
-        } else {
-            SubtreeHealth::Degraded { since, cause }
-        };
-        self.root = extend_window(old_root.clone(), t_new);
-    }
-
-    /// Stage 7 — mirrors step (5): the root-reconstruction drift over the
-    /// old decimated timeline, evaluated into the engine's reusable scratch
-    /// instead of per-column allocations. Arithmetic and accumulation order
-    /// are identical to `root_drift`.
-    pub(crate) fn engine_drift(&mut self, r: &mut EngineRound, s: &mut DriftScratch) {
-        let dt = self.cfg.mr.dt;
-        let mut acc = 0.0f64;
-        if let Some(old_root) = &r.old_root {
-            for k in 0..r.old_sub_cols {
-                let abs = k * self.root_step;
-                eval_extrapolated_into(&self.root, abs, dt, &mut s.new_w, &mut s.new_col);
-                eval_extrapolated_into(old_root, abs, dt, &mut s.old_w, &mut s.old_col);
-                acc += s
-                    .new_col
-                    .iter()
-                    .zip(&s.old_col)
-                    .map(|(&a, &b)| {
-                        let d = a - b;
-                        d * d
-                    })
-                    .sum::<f64>();
-            }
-        }
-        let drift = acc.sqrt();
-        r.drift = drift;
-        self.drift_log.push(drift);
-        if let Some(th) = self.cfg.drift_threshold {
-            if drift > th {
-                self.stale = true;
-            }
-        }
-    }
-
-    /// Stage 8 — mirrors steps (3)+(4) and the report assembly: history,
-    /// pending-window accumulation and flush, optional auto-refresh.
-    pub(crate) fn engine_tail(&mut self, batch: &Mat, r: &EngineRound) -> PartialFitReport {
-        self.t_total = r.t_new;
-        if let Some(h) = &mut self.history {
-            *h = h.hstack(batch);
-        }
-        let mut new_modes = 0usize;
-        if self.cfg.mr.max_levels >= 2 {
-            self.pending = if self.pending.cols() == 0 {
-                batch.clone()
-            } else {
-                self.pending.hstack(batch)
-            };
-            if self.pending.cols() >= self.cfg.mr.min_window {
-                new_modes = self.flush_pending_window();
-            }
-        }
-        if self.stale && self.cfg.auto_refresh && self.history.is_some() {
-            self.refresh_subtrees();
-        }
-        PartialFitReport {
-            batch_len: r.t1,
-            new_root_cols: r.n_new,
-            drift: r.drift,
-            stale: self.stale,
-            new_subtree_modes: new_modes,
-            pending: self.pending.cols(),
-            new_faults: self.faults.len().saturating_sub(r.faults_before)
-                + usize::from(r.root_failed),
-        }
-    }
-
-    /// The empty-batch round report — mirror of the `t1 == 0` early return
-    /// of `partial_fit_inner` (no drift sample, no root extension).
-    pub(crate) fn engine_empty_report(&self) -> PartialFitReport {
-        PartialFitReport {
-            batch_len: 0,
-            new_root_cols: 0,
-            drift: 0.0,
-            stale: self.stale,
-            new_subtree_modes: 0,
-            pending: self.pending.cols(),
-            new_faults: 0,
-        }
     }
 }
 
@@ -1631,11 +1224,6 @@ fn empty_root(p: usize, window: usize, step: usize) -> ModeSet {
     }
 }
 
-fn extend_window(mut node: ModeSet, window: usize) -> ModeSet {
-    node.window = window;
-    node
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1681,7 +1269,7 @@ mod tests {
             2,
             0.5
         ));
-        // NaN anywhere means the legacy scan yields NaN, not zero: refuse.
+        // NaN anywhere means the full scan yields NaN, not zero: refuse.
         assert!(!drift_scan_is_provably_zero(
             &mode_set(c(f64::NAN, 0.0), c(1.0, 0.0), c(1.0, 0.0)),
             20,

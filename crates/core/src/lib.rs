@@ -43,7 +43,6 @@ pub mod baseline;
 pub mod checkpoint;
 pub mod compression;
 pub mod dmd;
-pub mod engine;
 pub mod error;
 pub mod health;
 pub mod imrdmd;
@@ -73,14 +72,9 @@ pub mod prelude {
     pub use crate::dmd::{
         sparse_amplitudes, Dmd, DmdConfig, DmdConfigBuilder, FitStrategy, RankSelection,
     };
-    pub use crate::engine::{Engine, ExecPlan, FleetJob, KernelOp};
     pub use crate::error::CoreError;
     pub use crate::health::{FitFault, HealthSnapshot, LevelHealth, SolverStats, SubtreeHealth};
-    #[allow(deprecated)]
-    pub use crate::imrdmd::{
-        AsyncRefit, IMrDmd, IMrDmdConfig, IMrDmdConfigBuilder, IngestReport, PartialFitReport,
-        RoundReport,
-    };
+    pub use crate::imrdmd::{AsyncRefit, IMrDmd, IMrDmdConfig, IMrDmdConfigBuilder, RoundReport};
     pub use crate::ingest::{GapPolicy, IngestGuard, RepairReport};
     pub use crate::mrdmd::{ModeSet, MrDmd, MrDmdConfig, MrDmdConfigBuilder};
     pub use crate::obs::{MetricsLine, MetricsSnapshot, Observer};

@@ -268,9 +268,8 @@ fn gemm_small(alpha: f64, a: View<'_>, b: View<'_>, beta: f64, cdst: &mut [f64],
 /// Serial blocked GEMM over rows `[row0, row0 + mrows)` of the logical
 /// product, writing into `cdst` (row-major, leading dimension `n`,
 /// starting at logical row `row0`). Packing buffers come from the
-/// per-thread scratch pool; the batch executor uses
-/// [`gemm_serial_into`] directly to reuse one pair of buffers across a
-/// whole same-shape group.
+/// per-thread scratch pool. Detects the widest SIMD micro-kernel the CPU
+/// supports once per call; every path performs identical arithmetic.
 #[allow(clippy::too_many_arguments)]
 fn gemm_serial(
     alpha: f64,
@@ -282,36 +281,6 @@ fn gemm_serial(
     mrows: usize,
     n: usize,
 ) {
-    if mrows == 0 {
-        return;
-    }
-    let k = a.cols;
-    let mut bpack = take_vec(KC.min(k) * NC.min(n.next_multiple_of(NR)));
-    let mut apack = take_vec(KC.min(k) * MC.min(mrows.next_multiple_of(MR)));
-    gemm_serial_into(
-        alpha, a, b, beta, cdst, row0, mrows, n, &mut bpack, &mut apack,
-    );
-    give_vec(apack);
-    give_vec(bpack);
-}
-
-/// The packed-kernel body of [`gemm_serial`], with caller-provided packing
-/// buffers (each must be at least the size [`gemm_serial`] takes). Detects
-/// the widest SIMD micro-kernel the CPU supports once per call; every path
-/// performs identical arithmetic.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_serial_into(
-    alpha: f64,
-    a: View<'_>,
-    b: View<'_>,
-    beta: f64,
-    cdst: &mut [f64],
-    row0: usize,
-    mrows: usize,
-    n: usize,
-    bpack: &mut [f64],
-    apack: &mut [f64],
-) {
     #[cfg(target_arch = "x86_64")]
     let avx2 = std::arch::is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
@@ -320,24 +289,28 @@ pub(crate) fn gemm_serial_into(
         return;
     }
     let k = a.cols;
+    let mut bpack = take_vec(KC.min(k) * NC.min(n.next_multiple_of(NR)));
+    let mut apack = take_vec(KC.min(k) * MC.min(mrows.next_multiple_of(MR)));
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let ncp = nc.next_multiple_of(NR);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(b, pc, kc, jc, nc, ncp, bpack);
+            pack_b(b, pc, kc, jc, nc, ncp, &mut bpack);
             // β is applied exactly once per element, on its first depth block.
             let beta_eff = if pc == 0 { beta } else { 1.0 };
             for ic in (0..mrows).step_by(MC) {
                 let mc = MC.min(mrows - ic);
                 let mcp = mc.next_multiple_of(MR);
-                pack_a(a, row0 + ic, mc, mcp, pc, kc, apack);
+                pack_a(a, row0 + ic, mc, mcp, pc, kc, &mut apack);
                 macro_kernel(
-                    alpha, apack, bpack, beta_eff, cdst, ic, mc, mcp, jc, nc, ncp, n, kc, avx2,
+                    alpha, &apack, &bpack, beta_eff, cdst, ic, mc, mcp, jc, nc, ncp, n, kc, avx2,
                 );
             }
         }
     }
+    give_vec(apack);
+    give_vec(bpack);
 }
 
 /// Packs `B[pc..pc+kc, jc..jc+nc]` into `ncp / NR` column panels, each laid
@@ -564,54 +537,6 @@ fn write_back_tile(
             }
         }
     }
-}
-
-/// One op of a same-shape batch: [`gemm`]'s arithmetic (bitwise-identical
-/// at every thread count, including this single-threaded dispatch) without
-/// the per-call span/counter recording or pool negotiation, and with the
-/// packing buffers provided by the caller so one pair is reused across the
-/// whole group. Small shapes fall through to [`gemm_small`] directly.
-///
-/// # Panics
-/// Panics if the operand shapes are inconsistent (same contract as
-/// [`gemm`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_one_of_batch(
-    alpha: f64,
-    a: &Mat,
-    ta: Trans,
-    b: &Mat,
-    tb: Trans,
-    beta: f64,
-    c: &mut Mat,
-    bpack: &mut Vec<f64>,
-    apack: &mut Vec<f64>,
-) {
-    let av = View::of(a, ta);
-    let bv = View::of(b, tb);
-    let (m, k, n) = (av.rows, av.cols, bv.cols);
-    assert_eq!(k, bv.rows, "gemm inner dimensions must agree");
-    assert_eq!(c.shape(), (m, n), "gemm output shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 || alpha == 0.0 {
-        scale_slice(c.as_mut_slice(), beta);
-        return;
-    }
-    if is_small(m, k, n) {
-        gemm_small(alpha, av, bv, beta, c.as_mut_slice(), n);
-        return;
-    }
-    let blen = KC.min(k) * NC.min(n.next_multiple_of(NR));
-    let alen = KC.min(k) * MC.min(m.next_multiple_of(MR));
-    if bpack.len() < blen {
-        bpack.resize(blen, 0.0);
-    }
-    if apack.len() < alen {
-        apack.resize(alen, 0.0);
-    }
-    gemm_serial_into(alpha, av, bv, beta, c.as_mut_slice(), 0, m, n, bpack, apack);
 }
 
 /// `y ← α·op(A)·x + β·y` — the `n = 1` column of the kernel layer.

@@ -143,50 +143,12 @@ impl IncrementalSvd {
         crate::obs::ISVD_UPDATES.inc();
         let c = block.cols();
         let q = self.rank();
-        // Projection onto the current basis; the rest of the fold is shared
-        // with the batched-projection entry point.
         let mut d = workspace::pooled_zeros(q, c); // q × c = Uᵀ · block
         gemm(1.0, &self.u, Trans::Yes, block, Trans::No, 0.0, &mut d);
-        self.fold_projected(block, &d)
-    }
-
-    /// Second half of the Brand update, entered with the basis projection
-    /// `d = Uᵀ·block` already computed — e.g. by a batched cross-tree
-    /// projection pass ([`crate::batch::isvd_project_batch`]). Performs the
-    /// exact same arithmetic as [`IncrementalSvd::try_update`] from that
-    /// point on, so the two paths are bitwise interchangeable.
-    ///
-    /// # Panics
-    /// Panics if the block's row count differs from the stream or the
-    /// projection is not `rank × block.cols()`.
-    pub fn try_update_with_projection(&mut self, block: &Mat, d: &Mat) -> Result<(), LinAlgError> {
-        assert_eq!(
-            block.rows(),
-            self.u.rows(),
-            "row count must match the stream"
-        );
-        if block.cols() == 0 {
-            return Ok(());
-        }
-        assert_eq!(
-            d.shape(),
-            (self.rank(), block.cols()),
-            "projection must be rank × block cols"
-        );
-        let _span = crate::obs::ISVD_UPDATE_NS.span();
-        crate::obs::ISVD_UPDATES.inc();
-        self.fold_projected(block, d)
-    }
-
-    /// Shared tail of the Brand column update: folds `block` given its basis
-    /// projection `d = Uᵀ·block`.
-    fn fold_projected(&mut self, block: &Mat, d: &Mat) -> Result<(), LinAlgError> {
-        let c = block.cols();
-        let q = self.rank();
         // Orthonormal residual basis; the residual is fused into one gemm:
         // resid = block − U·d (β = 1). Intermediates stay pooled.
         let mut resid = workspace::pooled_copy(block);
-        gemm(-1.0, &self.u, Trans::No, d, Trans::No, 1.0, &mut resid);
+        gemm(-1.0, &self.u, Trans::No, &d, Trans::No, 1.0, &mut resid);
         let e = orthonormal_complement(&self.u, &resid, 1e-12); // m × j
         let j = e.cols();
         let mut p = workspace::pooled_zeros(j, c); // j × c = Eᵀ · resid
@@ -588,25 +550,6 @@ mod tests {
         let flat = Mat::from_fn(20, 4, |i, _| i as f64 * 0.01);
         inc.try_update(&flat).unwrap();
         assert_eq!(inc.cols_seen(), 44);
-    }
-
-    #[test]
-    fn update_with_projection_is_bitwise_identical() {
-        let a = test_matrix(24, 60);
-        let mut direct = IncrementalSvd::new(&a.cols_range(0, 12), 10);
-        let mut split = direct.clone();
-        for start in (12..60).step_by(7) {
-            let block = a.cols_range(start, (start + 7).min(60));
-            let r1 = direct.try_update(&block);
-            let mut d = Mat::zeros(split.rank(), block.cols());
-            crate::gemm::gemm(1.0, split.u(), Trans::Yes, &block, Trans::No, 0.0, &mut d);
-            let r2 = split.try_update_with_projection(&block, &d);
-            assert_eq!(r1.is_ok(), r2.is_ok());
-            assert_eq!(direct.u().as_slice(), split.u().as_slice());
-            assert_eq!(direct.v().as_slice(), split.v().as_slice());
-            assert_eq!(direct.s(), split.s());
-            assert_eq!(direct.cols_seen(), split.cols_seen());
-        }
     }
 
     #[test]

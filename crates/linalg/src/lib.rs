@@ -32,7 +32,6 @@
 //! columns = time points, matching the paper's `P × T` convention.
 
 #![warn(missing_docs)]
-pub mod batch;
 pub mod cmat;
 pub mod complex;
 pub mod csolve;
@@ -51,10 +50,6 @@ pub mod svd;
 pub mod svht;
 pub mod workspace;
 
-pub use batch::{
-    gemm_batch, gemm_batch_pooled, isvd_project_batch, qr_batch, sketch_project_batch, GemmOp,
-    IsvdProjectOp, SketchProjectOp,
-};
 pub use cmat::CMat;
 pub use complex::c64;
 pub use csolve::{lstsq_complex, solve_complex, try_lstsq_complex, try_solve_complex};

@@ -1,79 +1,34 @@
-//! Flat-combining ingest gate: concurrent tenant rounds coalesce into
-//! engine waves.
+//! The ingest gate: the daemon's one entry point from a parsed ingest
+//! request to a shard round.
 //!
-//! Every ingest request enqueues its work and then competes for the wave
-//! leadership lock. Exactly one submitter at a time becomes the **leader**:
-//! it drains the queue into a wave (one entry per distinct shard — a
-//! duplicate for a shard already in the wave stays queued for the next
-//! one, preserving that tenant's round order), locks the wave's shards,
-//! and runs every warm round as one [`Engine::run_fleet`] call — so the
-//! kernel work of concurrently-arriving tenants batches into shared
-//! packed passes. Followers block on the leadership lock; by the time a
-//! follower acquires it, its entry has usually been absorbed by a
-//! previous wave and it returns immediately.
-//!
-//! Determinism is untouched: the engine round is bitwise-identical to the
-//! per-tree `try_partial_fit` (see `imrdmd::engine`), each shard's rounds
-//! stay serialised by its own lock plus the wave dedup, and wave
-//! membership only affects *which* rounds share a batch, never their
-//! results.
-
-use std::sync::{Arc, Mutex};
+//! [`EngineGate::submit`] locks the tenant's shard and runs
+//! [`Shard::ingest`](crate::shard::Shard::ingest) under that lock, so each
+//! tenant's rounds stay serialised in arrival order while different tenants
+//! ingest in parallel. Every round is the same per-tree
+//! [`IMrDmd::try_partial_fit`](imrdmd::IMrDmd::try_partial_fit) that WAL
+//! replay and the CLI run, which is what makes crash recovery bitwise.
 
 use hpc_linalg::Mat;
-use imrdmd::engine::{Engine, FleetJob};
 use imrdmd::{GapPolicy, IMrDmdConfig};
 
 use crate::error::ServeError;
 use crate::manager::{lock_shard, ShardCell};
-use crate::shard::{IngestReply, PreparedIngest, PreparedRound};
+use crate::shard::IngestReply;
 
-type ReplySlot = Arc<Mutex<Option<Result<IngestReply, ServeError>>>>;
-
-struct Pending {
-    cell: ShardCell,
-    batch: Mat,
-    first_step: Option<usize>,
-    done: ReplySlot,
-}
-
-/// The gate: one queue of pending ingests and one engine, owned by
-/// whichever submitter currently leads.
-pub struct EngineGate {
-    queue: Mutex<Vec<Pending>>,
-    engine: Mutex<Engine>,
-}
-
-impl std::fmt::Debug for EngineGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineGate").finish_non_exhaustive()
-    }
-}
-
-impl Default for EngineGate {
-    fn default() -> Self {
-        EngineGate::new()
-    }
-}
-
-fn lock_or_recover<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+/// The gate between ingest requests and shard rounds. It holds no state:
+/// the shard lock is the only synchronisation a round needs.
+#[derive(Debug, Default)]
+pub struct EngineGate;
 
 impl EngineGate {
-    /// A gate whose engine dispatches over the process-default worker
-    /// budget.
+    /// A gate.
     pub fn new() -> EngineGate {
-        EngineGate {
-            queue: Mutex::new(Vec::new()),
-            engine: Mutex::new(Engine::new()),
-        }
+        EngineGate
     }
 
-    /// Absorbs one batch into `cell`'s shard, coalescing with every other
-    /// ingest in flight. Blocks until this batch's round has run (in this
-    /// thread's wave or an earlier leader's) and returns exactly what
-    /// [`Shard::ingest`](crate::shard::Shard::ingest) would have.
+    /// Absorbs one batch into `cell`'s shard: blocks on the shard lock,
+    /// then returns exactly what
+    /// [`Shard::ingest`](crate::shard::Shard::ingest) does.
     pub fn submit(
         &self,
         cell: ShardCell,
@@ -82,133 +37,6 @@ impl EngineGate {
         cfg: &IMrDmdConfig,
         policy: GapPolicy,
     ) -> Result<IngestReply, ServeError> {
-        let done: ReplySlot = Arc::new(Mutex::new(None));
-        lock_or_recover(&self.queue).push(Pending {
-            cell,
-            batch,
-            first_step,
-            done: done.clone(),
-        });
-        loop {
-            if let Some(reply) = lock_or_recover(&done).take() {
-                return reply;
-            }
-            let mut engine = lock_or_recover(&self.engine);
-            if let Some(reply) = lock_or_recover(&done).take() {
-                return reply;
-            }
-            // We lead: drain everything queued (our own entry included).
-            self.drain(&mut engine, cfg, policy);
-        }
-    }
-
-    /// Runs waves until the queue is empty. Caller holds the engine lock.
-    fn drain(&self, engine: &mut Engine, cfg: &IMrDmdConfig, policy: GapPolicy) {
-        loop {
-            let wave = self.take_wave();
-            if wave.is_empty() {
-                return;
-            }
-            run_wave(engine, wave, cfg, policy);
-        }
-    }
-
-    /// Removes one wave from the queue: the oldest entry per distinct
-    /// shard, in arrival order. Later duplicates stay queued so a tenant's
-    /// rounds keep their submission order.
-    fn take_wave(&self) -> Vec<Pending> {
-        let mut q = lock_or_recover(&self.queue);
-        let mut wave: Vec<Pending> = Vec::new();
-        let mut rest: Vec<Pending> = Vec::with_capacity(q.len());
-        for p in q.drain(..) {
-            let dup = wave.iter().any(|w| Arc::ptr_eq(&w.cell, &p.cell));
-            if dup {
-                rest.push(p);
-            } else {
-                wave.push(p);
-            }
-        }
-        *q = rest;
-        wave
-    }
-}
-
-/// Executes one wave: per-shard prepare (validation, repair, cold
-/// starts), one batched fleet round over every warm shard, per-shard
-/// settle. The prepare step swaps each warm entry's batch for its
-/// repaired form, so the engine — and the shard's write-ahead log — see
-/// the deterministic repaired batch; the engine's own repair pass over
-/// it is a bitwise no-op.
-fn run_wave(engine: &mut Engine, mut wave: Vec<Pending>, cfg: &IMrDmdConfig, policy: GapPolicy) {
-    // Guards borrow the cloned cells, not `wave`, so the prepare loop can
-    // still swap each entry's batch for its repaired form.
-    let cells: Vec<ShardCell> = wave.iter().map(|p| p.cell.clone()).collect();
-    let mut shards: Vec<_> = cells.iter().map(lock_shard).collect();
-
-    // Prepare: cold starts and validation failures settle immediately and
-    // drop out of the fleet round.
-    let mut settled: Vec<Option<Result<IngestReply, ServeError>>> = Vec::with_capacity(wave.len());
-    let mut prepared: Vec<Option<PreparedRound>> = Vec::with_capacity(wave.len());
-    for (shard, p) in shards.iter_mut().zip(wave.iter_mut()) {
-        match shard.ingest_prepare(&p.batch, p.first_step, cfg, policy) {
-            Ok(PreparedIngest::Warm(mut prep)) => {
-                if let Some(clean) = prep.clean.take() {
-                    p.batch = clean;
-                }
-                settled.push(None);
-                prepared.push(Some(prep));
-            }
-            Ok(PreparedIngest::Settled(reply)) => {
-                settled.push(Some(Ok(*reply)));
-                prepared.push(None);
-            }
-            Err(e) => {
-                settled.push(Some(Err(e)));
-                prepared.push(None);
-            }
-        }
-    }
-
-    // One batched engine round across every warm shard.
-    let mut warm_idx: Vec<usize> = Vec::new();
-    let mut jobs: Vec<FleetJob<'_>> = Vec::new();
-    for (i, (shard, p)) in shards.iter_mut().zip(&wave).enumerate() {
-        if settled[i].is_some() {
-            continue;
-        }
-        let tenant = shard.tenant().to_string();
-        match shard.round_parts() {
-            Some((tree, guard)) => {
-                warm_idx.push(i);
-                jobs.push(FleetJob {
-                    tree,
-                    batch: &p.batch,
-                    guard: Some(guard),
-                });
-            }
-            None => {
-                settled[i] = Some(Err(ServeError::UnknownTenant(tenant)));
-            }
-        }
-    }
-    let rounds = engine.run_fleet(&mut jobs);
-    drop(jobs);
-
-    // Settle: round results back through each shard's bookkeeping (WAL
-    // append before the ack, checkpoint tick), then wake every submitter.
-    for (i, round) in warm_idx.into_iter().zip(rounds) {
-        let outcome = match prepared[i].take() {
-            Some(prep) => shards[i].ingest_finish(&wave[i].batch, prep, round),
-            None => Err(ServeError::BadBody(
-                "ingest round was dropped by the wave".into(),
-            )),
-        };
-        settled[i] = Some(outcome);
-    }
-    drop(shards);
-    for (p, reply) in wave.into_iter().zip(settled) {
-        *lock_or_recover(&p.done) = reply.or(Some(Err(ServeError::BadBody(
-            "ingest round was dropped by the wave".into(),
-        ))));
+        lock_shard(&cell).ingest(&batch, first_step, cfg, policy)
     }
 }

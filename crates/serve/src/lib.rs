@@ -41,7 +41,4 @@ pub use gate::EngineGate;
 pub use http::{HttpError, HttpLimits, Request, Response};
 pub use manager::{lock_shard, IngestPermit, ManagerConfig, ShardCell, ShardManager};
 pub use server::{ServeConfig, Server, ServerHandle};
-pub use shard::{
-    IngestReply, PreparedIngest, PreparedRound, RecoveredShard, Shard, ShardSnapshot, ShardState,
-    ShardStatus,
-};
+pub use shard::{IngestReply, RecoveredShard, Shard, ShardSnapshot, ShardState, ShardStatus};

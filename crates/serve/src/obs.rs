@@ -103,8 +103,9 @@ pub static INGEST_INFLIGHT: Gauge = Gauge::new(
 );
 /// End-to-end request latency (parse to response flushed).
 pub static REQUEST_NS: Histogram = Histogram::new("serve.request_ns", "Wall time per HTTP request");
-/// Ingest-only latency (body parse through `try_partial_fit` and
-/// checkpoint tick).
+/// Ingest latency once the body is parsed and the shard resolved: shard
+/// lock wait, repair, `try_partial_fit`, WAL append and checkpoint tick.
+/// One observation per ingest request that reaches its shard.
 pub static INGEST_NS: Histogram = Histogram::new("serve.ingest_ns", "Wall time per ingest batch");
 
 fn entry_counter(c: &'static Counter) -> MetricEntry {

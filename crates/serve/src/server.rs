@@ -401,8 +401,6 @@ fn ingest(state: &ServerState, tenant: &str, req: &Request) -> Result<Response, 
     let _permit = state.manager.admit_ingest()?;
     let (batch, first_step) = parse_batch(req)?;
     let cell = state.manager.shard_or_create(tenant)?;
-    // Through the flat-combining gate: concurrent tenants' rounds coalesce
-    // into one batched engine wave (bitwise-identical to per-shard ingest).
     let _span = obs::INGEST_NS.span();
     let reply: IngestReply = state.gate.submit(
         cell,
@@ -451,11 +449,22 @@ fn parse_ndjson(body: &[u8]) -> Result<Mat, ServeError> {
             .ok_or_else(|| {
                 ServeError::BadBody(format!("line {}: expected a JSON array", lineno + 1))
             })?;
+        if inner.trim().is_empty() {
+            return Err(ServeError::BadBody(format!(
+                "line {}: empty snapshot",
+                lineno + 1
+            )));
+        }
         let mut col = Vec::new();
         for tok in inner.split(',') {
             let tok = tok.trim();
             if tok.is_empty() {
-                continue;
+                // `[1,,2]` or `[1,2,]`: skipping the hole would shift every
+                // later value into the wrong sensor.
+                return Err(ServeError::BadBody(format!(
+                    "line {}: empty field",
+                    lineno + 1
+                )));
             }
             if tok == "null" {
                 col.push(f64::NAN);
@@ -464,12 +473,6 @@ fn parse_ndjson(body: &[u8]) -> Result<Mat, ServeError> {
                     ServeError::BadBody(format!("line {}: `{tok}` is not a number", lineno + 1))
                 })?);
             }
-        }
-        if col.is_empty() {
-            return Err(ServeError::BadBody(format!(
-                "line {}: empty snapshot",
-                lineno + 1
-            )));
         }
         if let Some(first) = columns.first() {
             if col.len() != first.len() {
@@ -511,5 +514,8 @@ mod tests {
         assert!(parse_ndjson(b"").is_err());
         assert!(parse_ndjson(b"[1.0, banana]").is_err());
         assert!(parse_ndjson(&[0xff, 0xfe]).is_err());
+        assert!(parse_ndjson(b"[1.0,,2.0,3.0]").is_err());
+        assert!(parse_ndjson(b"[1.0,2.0,3.0,]").is_err());
+        assert!(parse_ndjson(b"[,1.0]").is_err());
     }
 }

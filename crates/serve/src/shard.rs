@@ -28,9 +28,7 @@ use imrdmd::checkpoint::{
     load_state_checkpoint, shard_checkpoint_history, CheckpointError, Checkpointer,
 };
 use imrdmd::wal::Wal;
-use imrdmd::{
-    GapPolicy, HealthSnapshot, IMrDmd, IMrDmdConfig, IngestGuard, RepairReport, RoundReport,
-};
+use imrdmd::{GapPolicy, HealthSnapshot, IMrDmd, IMrDmdConfig, IngestGuard, RoundReport};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -99,32 +97,6 @@ pub struct IngestReply {
     pub cold_start: bool,
     /// The round report, absent on cold start.
     pub report: Option<RoundReport>,
-}
-
-/// The pre-round half of a warm ingest: everything
-/// [`Shard::ingest_prepare`] computed that the round and
-/// [`Shard::ingest_finish`] need.
-#[derive(Debug)]
-pub struct PreparedRound {
-    /// The repaired batch when the raw one had gaps; `None` when the raw
-    /// batch was already clean (no copy was made).
-    pub clean: Option<Mat>,
-    /// What the pre-round repair pass did (this replaces the no-op inner
-    /// repair's report in the round, keeping replies oracle-identical).
-    pub repairs: RepairReport,
-    /// The shard clock when the batch arrived — the WAL frame key.
-    pub first_step: usize,
-}
-
-/// What [`Shard::ingest_prepare`] decided about a batch.
-#[derive(Debug)]
-pub enum PreparedIngest {
-    /// Cold start (or nothing left to do): the reply is ready.
-    Settled(Box<IngestReply>),
-    /// Warm shard: the caller runs the round over the repaired batch —
-    /// directly or inside an engine wave — then settles it with
-    /// [`Shard::ingest_finish`].
-    Warm(PreparedRound),
 }
 
 /// What [`Shard::recover`] rebuilt, with its provenance.
@@ -272,6 +244,11 @@ impl Shard {
     /// CSV header) is validated against the shard clock so duplicated
     /// batches from at-least-once collectors are rejected with 409
     /// instead of silently skewing the timeline.
+    ///
+    /// The [`GapPolicy`] repair runs before the round, so the WAL records
+    /// the deterministic repaired batch (appended before the reply — the
+    /// ack — is built, so an acked batch is always recoverable); the
+    /// round's own repair of it is a bitwise no-op.
     pub fn ingest(
         &mut self,
         batch: &Mat,
@@ -279,40 +256,6 @@ impl Shard {
         cfg: &IMrDmdConfig,
         policy: GapPolicy,
     ) -> Result<IngestReply, ServeError> {
-        let _span = obs::INGEST_NS.span();
-        let mut prep = match self.ingest_prepare(batch, first_step, cfg, policy)? {
-            PreparedIngest::Settled(reply) => return Ok(*reply),
-            PreparedIngest::Warm(prep) => prep,
-        };
-        // Warm round, outside an engine wave: the single-tree path. The
-        // round consumes the repaired batch; its inner repair is a no-op.
-        let clean = prep.clean.take();
-        let effective = clean.as_ref().unwrap_or(batch);
-        let round = match self.round_parts() {
-            Some((model, guard)) => model.try_partial_fit(effective, guard),
-            None => {
-                return Err(ServeError::UnknownTenant(self.tenant.clone()));
-            }
-        };
-        self.ingest_finish(effective, prep, round)
-    }
-
-    /// Pre-round half of [`Shard::ingest`]: corrupt/ordering validation,
-    /// the [`GapPolicy`] repair pass, and the cold-start fit. Returns
-    /// [`PreparedIngest::Settled`] when the batch cold-started the shard
-    /// (fully absorbed, nothing left to do) and [`PreparedIngest::Warm`]
-    /// when the shard is warm — the caller then runs the round over the
-    /// *repaired* batch (directly or inside an engine wave) and settles
-    /// it with [`Shard::ingest_finish`]. Repairing here, before the
-    /// round, is what lets the WAL record the deterministic repaired
-    /// batch; the round's own repair of it is a bitwise no-op.
-    pub fn ingest_prepare(
-        &mut self,
-        batch: &Mat,
-        first_step: Option<usize>,
-        cfg: &IMrDmdConfig,
-        policy: GapPolicy,
-    ) -> Result<PreparedIngest, ServeError> {
         if let Some(cause) = &self.corrupt_cause {
             return Err(ServeError::ShardCorrupt {
                 tenant: self.tenant.clone(),
@@ -328,7 +271,7 @@ impl Shard {
                 });
             }
         }
-        match &mut self.model {
+        let (clean, report) = match &mut self.model {
             None => {
                 if batch.cols() < 2 {
                     return Err(ServeError::BadBody(format!(
@@ -338,77 +281,35 @@ impl Shard {
                 }
                 let mut guard = IngestGuard::new(policy, batch.rows());
                 let (clean, _rep) = guard.repair(batch)?;
-                let effective = clean.as_ref().unwrap_or(batch);
-                let model = IMrDmd::fit(effective, cfg);
-                let steps = model.n_steps();
-                self.model = Some(model);
+                self.model = Some(IMrDmd::fit(clean.as_ref().unwrap_or(batch), cfg));
                 self.guard = Some(guard);
-                self.rounds = 1;
-                // Log the repaired batch before the ack is built; the
-                // cold-start frame starts the shard's WAL at step 0.
-                self.wal_append(steps_now, effective);
-                let reply = IngestReply {
-                    tenant: self.tenant.clone(),
-                    round: 1,
-                    steps,
-                    cold_start: true,
-                    report: None,
-                };
-                self.absorb_bookkeeping(batch.cols());
-                Ok(PreparedIngest::Settled(Box::new(reply)))
+                (clean, None)
             }
-            Some(_) => {
-                // Materialise the guard now so the engine wave can borrow
-                // model and guard together, and run the repair pass so the
-                // wave (and the WAL) see the deterministic repaired batch.
+            Some(model) => {
                 let guard = self
                     .guard
                     .get_or_insert_with(|| IngestGuard::new(policy, batch.rows()));
                 let (clean, repairs) = guard.repair(batch)?;
-                Ok(PreparedIngest::Warm(PreparedRound {
-                    clean,
-                    repairs,
-                    first_step: steps_now,
-                }))
+                let mut report = model.try_partial_fit(clean.as_ref().unwrap_or(batch), guard)?;
+                // The round repaired an already-repaired batch (a no-op);
+                // the reply must carry what the real repair pass did.
+                report.repairs = repairs;
+                (clean, Some(report))
             }
-        }
-    }
-
-    /// The warm shard's model and guard, borrowed together for an engine
-    /// fleet round. `None` until the shard has cold-started.
-    pub fn round_parts(&mut self) -> Option<(&mut IMrDmd, &mut IngestGuard)> {
-        match (&mut self.model, &mut self.guard) {
-            (Some(m), Some(g)) => Some((m, g)),
-            _ => None,
-        }
-    }
-
-    /// Post-round half of [`Shard::ingest`]: settles a warm round's
-    /// [`RoundReport`] (however it was executed) into the WAL, the reply,
-    /// the round counter, the ingest counters, and the checkpoint
-    /// schedule. `effective` is the repaired batch the round actually
-    /// consumed — it is appended to the WAL *before* the reply (the ack)
-    /// is built, so an acked batch is always recoverable.
-    pub fn ingest_finish(
-        &mut self,
-        effective: &Mat,
-        prep: PreparedRound,
-        round: Result<RoundReport, imrdmd::CoreError>,
-    ) -> Result<IngestReply, ServeError> {
-        let mut report = round?;
-        // The round repaired an already-repaired batch (a no-op); the
-        // reply must carry what the real repair pass did.
-        report.repairs = prep.repairs;
+        };
+        let effective = clean.as_ref().unwrap_or(batch);
         self.rounds += 1;
-        self.wal_append(prep.first_step, effective);
+        self.wal_append(steps_now, effective);
         let reply = IngestReply {
             tenant: self.tenant.clone(),
             round: self.rounds,
             steps: self.model.as_ref().map_or(0, |m| m.n_steps()),
-            cold_start: false,
-            report: Some(report),
+            cold_start: report.is_none(),
+            report,
         };
-        self.absorb_bookkeeping(effective.cols());
+        obs::INGEST_BATCHES.inc();
+        obs::INGEST_SNAPSHOTS.add(batch.cols() as u64);
+        self.tick_checkpoint();
         Ok(reply)
     }
 
@@ -433,14 +334,6 @@ impl Shard {
                 self.degraded_cause = Some(e.to_string());
             }
         }
-    }
-
-    /// Shared tail of every successful absorb: ingest counters and the
-    /// checkpoint tick.
-    fn absorb_bookkeeping(&mut self, batch_cols: usize) {
-        obs::INGEST_BATCHES.inc();
-        obs::INGEST_SNAPSHOTS.add(batch_cols as u64);
-        self.tick_checkpoint();
     }
 
     /// Advances the checkpoint schedule. A failed write is *not* an

@@ -145,7 +145,8 @@ fn main() {
                 let r = m
                     .try_partial_fit(&batch, &mut guard)
                     .expect("guarded ingest");
-                (Some(r.fit_summary()), r.repairs)
+                let repairs = r.repairs.clone();
+                (Some(r), repairs)
             }
         };
         let m = model.as_mut().expect("model primed above");

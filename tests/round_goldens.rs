@@ -394,106 +394,41 @@ fn corpora() -> Vec<Corpus> {
 // Runners.
 // ---------------------------------------------------------------------------
 
-/// How a corpus's rounds are executed.
-#[derive(Clone, Copy, Debug)]
-enum Path {
-    /// One tree at a time through `partial_fit` / `try_partial_fit`.
-    PerTree,
-    /// Each round as one `Engine::run_fleet` wave over every tree.
-    Engine,
-}
-
 /// Fits every tree of `corpus` (with `n_threads` overriding the corpus's
-/// thread knob when given), streams its rounds along `path`, and records a
-/// digest after the fit and after every round.
-fn run(corpus: &Corpus, n_threads: Option<usize>, path: Path) -> Run {
+/// thread knob when given), streams its rounds, and records a digest after
+/// the fit and after every round.
+fn run(corpus: &Corpus, n_threads: Option<usize>) -> Run {
     let mut out = Run::default();
-    let mut trees: Vec<IMrDmd> = corpus
-        .streams
-        .iter()
-        .map(|s| {
-            let mut cfg = s.cfg;
-            if let Some(n) = n_threads {
-                cfg.mr.n_threads = n;
-            }
-            IMrDmd::fit(&s.fit, &cfg)
-        })
-        .collect();
-    let mut guards: Vec<Option<IngestGuard>> =
-        corpus.streams.iter().map(|s| s.guard.clone()).collect();
-    let mut per_tree: Vec<Vec<String>> = trees
-        .iter_mut()
-        .enumerate()
-        .map(|(k, t)| vec![line(corpus.name, k, 0, true, digest(t))])
-        .collect();
-    let rounds = corpus
-        .streams
-        .iter()
-        .map(|s| s.batches.len())
-        .max()
-        .unwrap_or(0);
-    let mut engine = Engine::new();
-    for r in 0..rounds {
-        let live: Vec<usize> = (0..trees.len())
-            .filter(|&k| r < corpus.streams[k].batches.len())
-            .collect();
-        // (new_root_cols, batch_len, repaired) per live tree, `None` on error.
-        let outcomes: Vec<Option<(usize, usize, usize)>> = match path {
-            Path::PerTree => {
-                live.iter()
-                    .map(|&k| {
-                        let batch = &corpus.streams[k].batches[r];
-                        match &mut guards[k] {
-                            Some(g) => trees[k].try_partial_fit(batch, g).ok().map(|rep| {
-                                (rep.new_root_cols, rep.batch_len, rep.repairs.repaired)
-                            }),
-                            None => {
-                                let rep = trees[k].partial_fit(batch);
-                                Some((rep.new_root_cols, rep.batch_len, 0))
-                            }
-                        }
-                    })
-                    .collect()
-            }
-            Path::Engine => {
-                let mut jobs: Vec<FleetJob<'_>> = trees
-                    .iter_mut()
-                    .zip(guards.iter_mut())
-                    .enumerate()
-                    .filter(|(k, _)| live.contains(k))
-                    .map(|(k, (tree, guard))| FleetJob {
-                        tree,
-                        batch: &corpus.streams[k].batches[r],
-                        guard: guard.as_mut(),
-                    })
-                    .collect();
-                engine
-                    .run_fleet(&mut jobs)
-                    .into_iter()
-                    .map(|res| {
-                        res.ok()
-                            .map(|rep| (rep.new_root_cols, rep.batch_len, rep.repairs.repaired))
-                    })
-                    .collect()
-            }
-        };
-        for (&k, outcome) in live.iter().zip(outcomes) {
-            match outcome {
-                Some((new_root_cols, batch_len, repaired)) => {
-                    out.repaired += repaired;
-                    if batch_len == 0 {
+    for (k, stream) in corpus.streams.iter().enumerate() {
+        let mut cfg = stream.cfg;
+        if let Some(n) = n_threads {
+            cfg.mr.n_threads = n;
+        }
+        let mut tree = IMrDmd::fit(&stream.fit, &cfg);
+        let mut guard = stream.guard.clone();
+        out.lines
+            .push(line(corpus.name, k, 0, true, digest(&mut tree)));
+        for (r, batch) in stream.batches.iter().enumerate() {
+            let report = match &mut guard {
+                Some(g) => tree.try_partial_fit(batch, g).ok(),
+                None => Some(tree.partial_fit(batch)),
+            };
+            match &report {
+                Some(rep) => {
+                    out.repaired += rep.repairs.repaired;
+                    if rep.batch_len == 0 {
                         out.empty_rounds += 1;
-                    } else if new_root_cols == 0 {
+                    } else if rep.new_root_cols == 0 {
                         out.sub_step_rounds += 1;
                     }
                 }
                 None => out.errors += 1,
             }
-            let d = digest(&mut trees[k]);
-            per_tree[k].push(line(corpus.name, k, r + 1, outcome.is_some(), d));
+            let d = digest(&mut tree);
+            out.lines
+                .push(line(corpus.name, k, r + 1, report.is_some(), d));
         }
     }
-    out.lines = per_tree.concat();
     out
 }
 
@@ -549,10 +484,12 @@ fn every_round_matches_the_fixture() {
     let corpora = corpora();
     assert_eq!(fixture.len(), corpora.len(), "fixture and corpora disagree");
     for corpus in &corpora {
-        for path in [Path::PerTree, Path::Engine] {
-            let run = run(corpus, None, path);
-            check(&fixture, corpus.name, &format!("{path:?}"), &run.lines);
-        }
+        check(
+            &fixture,
+            corpus.name,
+            "corpus config",
+            &run(corpus, None).lines,
+        );
     }
 }
 
@@ -561,7 +498,7 @@ fn digests_are_invariant_to_worker_threads() {
     let fixture = load_fixture();
     for corpus in &corpora() {
         for n in [1usize, 2, 4] {
-            let run = run(corpus, Some(n), Path::PerTree);
+            let run = run(corpus, Some(n));
             check(&fixture, corpus.name, &format!("n_threads={n}"), &run.lines);
         }
     }
@@ -574,7 +511,7 @@ fn corpora_exercise_the_paths_they_cover() {
             .into_iter()
             .find(|c| c.name == name)
             .unwrap_or_else(|| panic!("no corpus `{name}`"));
-        run(&corpus, None, Path::PerTree)
+        run(&corpus, None)
     };
     let sub = tally("sub_step");
     assert!(sub.sub_step_rounds > 0, "no round skipped the root solve");
@@ -599,7 +536,7 @@ fn regenerate_fixture() {
          # Regenerate: cargo test --release --test round_goldens -- --ignored\n",
     );
     for corpus in &corpora() {
-        for l in run(corpus, None, Path::PerTree).lines {
+        for l in run(corpus, None).lines {
             text.push_str(&l);
             text.push('\n');
         }

@@ -4,6 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use imrdmd_serve::{HttpLimits, ServeConfig, Server, ServerHandle};
@@ -59,6 +60,33 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
             .map(|(_, b)| b.to_string())
             .unwrap_or_default(),
     )
+}
+
+/// The `serve.*` metrics are process-wide, so the tests whose requests
+/// reach an ingest handler run one at a time: a test counting ingest
+/// observations sees only its own requests.
+static INGEST_LOCK: Mutex<()> = Mutex::new(());
+
+fn ingest_lock() -> MutexGuard<'static, ()> {
+    INGEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+fn post(addr: SocketAddr, tenant: &str, content_type: &str, body: &[u8]) -> u16 {
+    let mut req = format!(
+        "POST /v1/{tenant}/ingest HTTP/1.1\r\nHost: x\r\nContent-Type: {content_type}\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    req.extend(body);
+    let reply = raw(addr, &req);
+    status_of(&reply).unwrap_or_else(|| panic!("no status in {reply:?}"))
+}
+
+fn csv_body(m: &Mat, first_step: usize) -> Vec<u8> {
+    let mut csv = Vec::new();
+    write_snapshots_csv(&mut csv, m, first_step).unwrap();
+    csv
 }
 
 fn assert_alive(addr: SocketAddr) {
@@ -150,6 +178,7 @@ fn slow_loris_is_cut_off_with_408() {
 
 #[test]
 fn routing_errors_are_typed() {
+    let _lock = ingest_lock();
     let (addr, handle, worker) = start_tight();
 
     // Unknown tenant on a read route: 404.
@@ -248,6 +277,59 @@ fn metrics_track_protocol_abuse() {
         assert!(metrics.contains(series), "missing `{series}` in /metrics");
     }
 
+    handle.shutdown();
+    worker.join().unwrap().unwrap();
+}
+
+/// An empty JSON-lines field is a 400, never a hole that shifts the later
+/// values into the wrong sensors; `null` stays a repairable gap.
+#[test]
+fn ndjson_empty_fields_are_rejected() {
+    let _lock = ingest_lock();
+    let (addr, handle, worker) = start_tight();
+    let cold = Mat::from_fn(3, 24, |i, j| (i as f64 + 1.0) * (j as f64 * 0.1).sin());
+    assert_eq!(post(addr, "nd", "text/csv", &csv_body(&cold, 0)), 200);
+
+    for body in ["[1.0,,2.0,3.0]\n", "[1.0,2.0,3.0,]\n"] {
+        let status = post(addr, "nd", "application/x-ndjson", body.as_bytes());
+        assert_eq!(status, 400, "`{}` must be refused", body.trim());
+    }
+    let (_, status) = get(addr, "/v1/nd/status");
+    assert!(
+        status.contains("\"steps\":24"),
+        "nothing absorbed: {status}"
+    );
+
+    let gap = post(addr, "nd", "application/x-ndjson", b"[1.0,null,3.0]\n");
+    assert_eq!(gap, 200, "`null` is a gap the guard repairs");
+
+    handle.shutdown();
+    worker.join().unwrap().unwrap();
+}
+
+fn ingest_observations(addr: SocketAddr) -> u64 {
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("serve_ingest_ns_count "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no serve_ingest_ns_count in /metrics"))
+}
+
+/// `serve.ingest_ns` records exactly one observation per ingest request,
+/// cold start and warm rounds alike.
+#[test]
+fn ingest_latency_is_observed_once_per_request() {
+    let _lock = ingest_lock();
+    let (addr, handle, worker) = start_tight();
+    let data = Mat::from_fn(3, 72, |i, j| (i as f64 + 1.0) * (j as f64 * 0.1).sin());
+    let before = ingest_observations(addr);
+    for (k, lo) in [0usize, 24, 48].into_iter().enumerate() {
+        let batch = data.cols_range(lo, lo + 24);
+        assert_eq!(post(addr, "obs", "text/csv", &csv_body(&batch, lo)), 200);
+        assert_eq!(ingest_observations(addr) - before, k as u64 + 1);
+    }
     handle.shutdown();
     worker.join().unwrap().unwrap();
 }

@@ -11,12 +11,22 @@
 //! batches without ever crashing.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 use imrdmd_serve::{ManagerConfig, Shard, ShardManager, ShardState};
 use mrdmd_suite::prelude::*;
 use proptest::prelude::*;
 
 const TENANT: &str = "t00";
+
+/// The WAL append fail point is process-global, so every test that appends
+/// to a WAL holds this lock: the test that arms the fail point can neither
+/// inject into another test's appends nor lose its armed failure to one.
+static WAL_FAILPOINT: Mutex<()> = Mutex::new(());
+
+fn wal_failpoint_lock() -> MutexGuard<'static, ()> {
+    WAL_FAILPOINT.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("imrdmd-wal-chaos").join(name);
@@ -282,6 +292,7 @@ fn resume_stream(
 /// One matrix cell end to end: build crash state, recover, resume,
 /// compare bitwise against the never-crashed oracle over the full stream.
 fn run_cell(mut cell: Cell<'_>, cell_name: &str) {
+    let _lock = wal_failpoint_lock();
     let dir = scratch_dir(cell_name);
     // A tear needs a "next" frame to cut into; past the last batch the
     // cell degenerates to its untorn twin.
@@ -366,6 +377,7 @@ fn wal_replay_covers_uncheckpointed_tail() {
 /// MidCheckpoint column; here the pruning itself is pinned down).
 #[test]
 fn checkpoint_retention_keeps_last_k() {
+    let _lock = wal_failpoint_lock();
     let (dt, batches) = gappy_batches(31, 200, 40);
     let cfg = cfg(dt, 1, FitStrategy::Exact);
     let dir = scratch_dir("retention");
@@ -398,6 +410,7 @@ fn checkpoint_retention_keeps_last_k() {
 /// crashes — and the degradation is sticky.
 #[test]
 fn wal_append_failure_degrades_but_keeps_serving() {
+    let _lock = wal_failpoint_lock();
     let (dt, batches) = gappy_batches(47, 160, 40);
     let cfg = cfg(dt, 1, FitStrategy::Exact);
     let dir = scratch_dir("degrade");
