@@ -664,8 +664,9 @@ impl IMrDmd {
         let mut acc = 0.0f64;
         for k in 0..old_sub_cols {
             let abs = k * self.root_step;
-            eval_extrapolated_into(&self.root, abs, dt, &mut new_w, &mut new_col);
-            eval_extrapolated_into(old_root, abs, dt, &mut old_w, &mut old_col);
+            self.root
+                .eval_extrapolated_into(abs, dt, &mut new_w, &mut new_col);
+            old_root.eval_extrapolated_into(abs, dt, &mut old_w, &mut old_col);
             acc += new_col
                 .iter()
                 .zip(&old_col)
@@ -804,6 +805,14 @@ impl IMrDmd {
             Some(sk) => sk.rank(),
             None => self.isvd.rank(),
         }
+    }
+
+    /// The streaming sketch behind the root fit, when the tree was built
+    /// with [`FitStrategy::Sketched`]. Test-only introspection hook for the
+    /// basis-reuse invariant.
+    #[cfg(test)]
+    pub(crate) fn sketch_state(&self) -> Option<&SketchSvd> {
+        self.sketch.as_ref()
     }
 
     /// Reconstructs the denoised signal over absolute snapshots `[t0, t1)`.
@@ -1064,39 +1073,6 @@ impl IMrDmd {
     }
 }
 
-/// [`ModeSet::eval_extrapolated`] into caller-owned buffers: identical
-/// arithmetic (weights in mode order, `mul_add` accumulation per row), no
-/// per-call allocation.
-fn eval_extrapolated_into(
-    node: &ModeSet,
-    abs: usize,
-    dt: f64,
-    weights: &mut Vec<hpc_linalg::c64>,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.resize(node.modes.rows(), 0.0);
-    if node.n_modes() == 0 || abs < node.start {
-        return;
-    }
-    let t_rel = (abs - node.start) as f64 * dt;
-    weights.clear();
-    weights.extend(
-        node.omegas
-            .iter()
-            .zip(&node.amplitudes)
-            .map(|(&w, &a)| (w * t_rel).exp() * a),
-    );
-    for (i, o) in out.iter_mut().enumerate() {
-        let row = node.modes.row(i);
-        let mut acc = hpc_linalg::c64::ZERO;
-        for (&phi, &w) in row.iter().zip(weights.iter()) {
-            acc = acc.mul_add(phi, w);
-        }
-        *o = acc.re;
-    }
-}
-
 /// True when the `n_new == 0` drift scan may be skipped outright: extending
 /// the root window rewrites only `ModeSet::window`, which
 /// [`ModeSet::eval_extrapolated`] ignores, so the scan subtracts each
@@ -1156,16 +1132,6 @@ fn drift_scan_is_provably_zero(
     // in the mul_add chain.
     let acc_bound = 16.0 * node.n_modes() as f64 * mode_bound * weight_bound;
     acc_bound.is_finite() && acc_bound < 1e300
-}
-
-impl IMrDmd {
-    /// The streaming sketch behind the root fit, when the tree was built
-    /// with [`FitStrategy::Sketched`]. Test-only introspection hook for the
-    /// basis-reuse invariant.
-    #[cfg(test)]
-    pub(crate) fn sketch_state(&self) -> Option<&SketchSvd> {
-        self.sketch.as_ref()
-    }
 }
 
 /// Spawns a background thread that refits the decomposition from history;

@@ -73,7 +73,7 @@ fn line(corpus: &str, tree: usize, round: usize, ok: bool, digest: u64) -> Strin
 // Corpora.
 // ---------------------------------------------------------------------------
 
-/// The fleet signal of the engine unit tests.
+/// A slow and a fast oscillation, phase-shifted per sensor and per seed.
 fn fleet_signal(p: usize, t: usize, seed: usize) -> Mat {
     Mat::from_fn(p, t, |i, j| {
         let tt = j as f64 * 0.4;
