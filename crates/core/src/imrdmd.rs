@@ -517,10 +517,30 @@ impl IMrDmd {
                 Some(old_root)
             };
 
-            // (5) Drift of the root reconstruction over the old timeline,
-            // measured on the decimated grid.
+            // (5) Drift of the root reconstruction over the old timeline:
+            // the Frobenius norm of new minus old, evaluated at the
+            // decimated snapshots (cheap: `O(P·r·n_sub)`) into buffers
+            // reused across the scan.
             if let Some(old_root) = &old_root {
-                drift = self.root_drift(old_root, old_sub_cols);
+                let dt = self.cfg.mr.dt;
+                let (mut new_w, mut old_w) = (Vec::new(), Vec::new());
+                let (mut new_col, mut old_col) = (Vec::new(), Vec::new());
+                let mut acc = 0.0f64;
+                for k in 0..old_sub_cols {
+                    let abs = k * self.root_step;
+                    self.root
+                        .eval_extrapolated_into(abs, dt, &mut new_w, &mut new_col);
+                    old_root.eval_extrapolated_into(abs, dt, &mut old_w, &mut old_col);
+                    acc += new_col
+                        .iter()
+                        .zip(&old_col)
+                        .map(|(&a, &b)| {
+                            let d = a - b;
+                            d * d
+                        })
+                        .sum::<f64>();
+                }
+                drift = acc.sqrt();
             }
             self.drift_log.push(drift);
             if let Some(th) = self.cfg.drift_threshold {
@@ -651,32 +671,6 @@ impl IMrDmd {
         }
         let (clean, repairs) = guard.repair(batch)?;
         Ok(self.round(clean.as_ref().unwrap_or(batch), repairs))
-    }
-
-    /// Frobenius norm of the difference between the current and previous
-    /// root reconstructions over the previous timeline, evaluated at the
-    /// decimated snapshots (cheap: `O(P·r·n_sub)`) into buffers reused
-    /// across the scan.
-    fn root_drift(&self, old_root: &ModeSet, old_sub_cols: usize) -> f64 {
-        let dt = self.cfg.mr.dt;
-        let (mut new_w, mut old_w) = (Vec::new(), Vec::new());
-        let (mut new_col, mut old_col) = (Vec::new(), Vec::new());
-        let mut acc = 0.0f64;
-        for k in 0..old_sub_cols {
-            let abs = k * self.root_step;
-            self.root
-                .eval_extrapolated_into(abs, dt, &mut new_w, &mut new_col);
-            old_root.eval_extrapolated_into(abs, dt, &mut old_w, &mut old_col);
-            acc += new_col
-                .iter()
-                .zip(&old_col)
-                .map(|(&a, &b)| {
-                    let d = a - b;
-                    d * d
-                })
-                .sum::<f64>();
-        }
-        acc.sqrt()
     }
 
     /// Current level-1 mode set.
