@@ -523,9 +523,16 @@ pub struct IndexEntry {
 
 impl IndexEntry {
     /// The node-admission rule reconstruction uses: does this node's
-    /// window overlap `[t0, t1)`?
+    /// window overlap `[t0, t1)`? A window whose end overflows admits
+    /// nothing ([`ArchiveReader::open`] rejects such entries).
     pub fn admits(&self, t0: usize, t1: usize) -> bool {
-        (self.start as usize) < t1 && self.start as usize + self.window as usize > t0
+        self.start < t1 as u64 && self.end().is_some_and(|end| end > t0 as u64)
+    }
+
+    /// One past the last snapshot of the node's window, or `None` when
+    /// `start + window` overflows.
+    pub fn end(&self) -> Option<u64> {
+        self.start.checked_add(self.window)
     }
 }
 
@@ -610,13 +617,20 @@ impl ArchiveReader {
         let mut index = Vec::with_capacity(count);
         for e in 0..count {
             let at = 4 + 32 * e;
-            index.push(IndexEntry {
+            let entry = IndexEntry {
                 start: u64_at(&raw, at).ok_or_else(bad_index)?,
                 window: u64_at(&raw, at + 8).ok_or_else(bad_index)?,
                 offset: u64_at(&raw, at + 16).ok_or_else(bad_index)?,
                 len: u32_at(&raw, at + 24).ok_or_else(bad_index)?,
                 level: u32_at(&raw, at + 28).ok_or_else(bad_index)?,
-            });
+            };
+            if entry.end().is_none_or(|end| end > n_steps as u64) {
+                return Err(ArchiveError::Codec(format!(
+                    "index entry {e} (start {}, window {}) ends past the {n_steps} archived steps",
+                    entry.start, entry.window
+                )));
+            }
+            index.push(entry);
         }
         Ok(ArchiveReader {
             file,
@@ -815,6 +829,34 @@ mod tests {
             ArchiveReader::open(&path),
             Err(ArchiveError::BadHeader(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An index entry whose window overflows or ends past the timeline is
+    /// a typed error at open, even when its block checksum is intact.
+    #[test]
+    fn index_windows_past_the_timeline_are_typed_errors() {
+        let dir = scratch("index");
+        let model = fitted(8, 128);
+        let path = dir.join("model.arch");
+        write_archive(&model, &path, QuantTier::F64).expect("write");
+        let bytes = std::fs::read(&path).expect("read");
+        let trailer = bytes.len() - TRAILER_LEN;
+        let index_at = u64_at(&bytes, trailer).expect("index offset") as usize;
+        let payload = index_at + storage::FRAME_HEAD;
+        let start = u64_at(&bytes, payload + 4).expect("start");
+        for window in [u64::MAX, model.n_steps() as u64 - start + 1] {
+            let mut bad = bytes.clone();
+            bad[payload + 12..payload + 20].copy_from_slice(&window.to_le_bytes());
+            let len = u32_at(&bad, index_at).expect("len") as usize;
+            let crc = storage::crc32(&bad[payload..payload + len]);
+            bad[index_at + 4..index_at + 8].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bad).expect("write");
+            assert!(
+                matches!(ArchiveReader::open(&path), Err(ArchiveError::Codec(_))),
+                "window {window}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,15 +2,17 @@
 //!
 //! Builds on the substrate in [`hpc_linalg::obs`] (sharded counters, gauges,
 //! nanosecond histograms, injectable clock, runtime [`Observer`] switch) and
-//! adds the pipeline-level metric catalogue — ingest repair, round timing,
+//! adds the pipeline-level metric table — ingest repair, round timing,
 //! checkpoint traffic, tree fit faults — plus the export surfaces:
 //!
 //! * [`MetricsSnapshot::capture`] — a serde-JSON-able snapshot of every
-//!   metric in the process (linalg kernels + this crate), in fixed order;
+//!   linalg and core metric, in table then declaration order;
 //! * [`MetricsSnapshot::to_prometheus`] — the Prometheus text exposition
 //!   format (`name{le="…"}` bucket lines, `_sum`/`_count`, `# HELP`/`# TYPE`);
 //! * [`MetricsLine`] — one JSON-line of counters/gauges emitted periodically
-//!   by `imrdmd-cli stream --metrics-every N`.
+//!   by `imrdmd-cli stream --metrics-every N`;
+//! * [`reset`] — zeroes the linalg and core tables and every table a
+//!   downstream crate added with [`register`].
 //!
 //! Metric semantics worth knowing: `pool.*` metrics are scheduler-dependent
 //! (they vary with the thread budget), so determinism comparisons across
@@ -19,212 +21,108 @@
 //! zero step ([`Observer::with_fake_clock`]) the histograms are deterministic
 //! too: every duration records as 0.
 
-pub use hpc_linalg::obs::{
-    collect as collect_linalg, is_enabled, now_ns, reset as reset_linalg, use_fake_clock,
-    use_monotonic_clock, HistogramData, Observer, Span,
-};
-use hpc_linalg::obs::{Counter, Gauge, Histogram, MetricRecord, MetricValue};
+pub use hpc_linalg::obs::{HistogramEntry, Metric, MetricEntry, Observer};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
 
 // ---------------------------------------------------------------------------
-// Core metric catalogue
+// Core metric table
 // ---------------------------------------------------------------------------
 
-/// Streaming rounds absorbed (`partial_fit`/`try_partial_fit` calls).
-pub static ROUND_COUNT: Counter = Counter::new(
-    "round.count",
-    "Streaming rounds absorbed (partial_fit calls)",
-);
-/// Wall time per streaming round.
-pub static ROUND_NS: Histogram = Histogram::new("round.ns", "Wall time per streaming round");
-/// Snapshot columns currently buffered below the minimum window.
-pub static ROUND_PENDING: Gauge = Gauge::new(
-    "round.pending",
-    "Snapshot columns buffered below the minimum window",
-);
-/// Root-window reconstruction drift of the most recent round.
-pub static ROUND_DRIFT: Gauge = Gauge::new(
-    "round.drift",
-    "Root-window reconstruction drift of the most recent round",
-);
+hpc_linalg::metrics! {
+    /// Streaming rounds absorbed (`partial_fit`/`try_partial_fit` calls).
+    Counter ROUND_COUNT = ("round.count", "Streaming rounds absorbed (partial_fit calls)");
+    /// Wall time per streaming round.
+    Histogram ROUND_NS = ("round.ns", "Wall time per streaming round");
+    /// Snapshot columns currently buffered below the minimum window.
+    Gauge ROUND_PENDING = ("round.pending", "Snapshot columns buffered below the minimum window");
+    /// Root-window reconstruction drift of the most recent round.
+    Gauge ROUND_DRIFT = (
+        "round.drift",
+        "Root-window reconstruction drift of the most recent round",
+    );
 
-/// NaN/Inf gaps seen by the ingest guard.
-pub static INGEST_GAPS: Counter =
-    Counter::new("ingest.gaps", "Non-finite cells seen by the ingest guard");
-/// Cells the ingest guard repaired (held, interpolated or masked).
-pub static INGEST_REPAIRED_CELLS: Counter = Counter::new(
-    "ingest.repaired_cells",
-    "Cells repaired by the ingest guard",
-);
-/// Rows masked out of a batch by the mask-row policy.
-pub static INGEST_MASKED_ROWS: Counter = Counter::new(
-    "ingest.masked_rows",
-    "Rows masked out of a batch by the mask-row policy",
-);
-/// Wall time per ingest repair pass.
-pub static INGEST_NS: Histogram = Histogram::new("ingest.ns", "Wall time per ingest repair pass");
+    /// NaN/Inf gaps seen by the ingest guard.
+    Counter INGEST_GAPS = ("ingest.gaps", "Non-finite cells seen by the ingest guard");
+    /// Cells the ingest guard repaired (held, interpolated or masked).
+    Counter INGEST_REPAIRED_CELLS = ("ingest.repaired_cells", "Cells repaired by the ingest guard");
+    /// Rows masked out of a batch by the mask-row policy.
+    Counter INGEST_MASKED_ROWS = (
+        "ingest.masked_rows",
+        "Rows masked out of a batch by the mask-row policy",
+    );
+    /// Wall time per ingest repair pass.
+    Histogram INGEST_NS = ("ingest.ns", "Wall time per ingest repair pass");
 
-/// Node fits that failed and were degraded or skipped.
-pub static FIT_FAULTS: Counter = Counter::new(
-    "fit.faults",
-    "Node fits that failed and were degraded or skipped",
-);
-/// Fraction of tree nodes serving live (non-degraded) modes.
-pub static HEALTH_COVERAGE: Gauge = Gauge::new(
-    "health.coverage",
-    "Fraction of tree nodes serving live modes",
-);
+    /// Node fits that failed and were degraded or skipped.
+    Counter FIT_FAULTS = ("fit.faults", "Node fits that failed and were degraded or skipped");
+    /// Fraction of tree nodes serving live (non-degraded) modes.
+    Gauge HEALTH_COVERAGE = ("health.coverage", "Fraction of tree nodes serving live modes");
 
-/// Checkpoints written.
-pub static CHECKPOINT_SAVES: Counter = Counter::new("checkpoint.saves", "Checkpoints written");
-/// Checkpoints restored.
-pub static CHECKPOINT_LOADS: Counter = Counter::new("checkpoint.loads", "Checkpoints restored");
-/// Bytes of checkpoint payload written or read.
-pub static CHECKPOINT_BYTES: Counter = Counter::new(
-    "checkpoint.bytes",
-    "Bytes of checkpoint payload written or read",
-);
-/// Wall time per checkpoint save or load.
-pub static CHECKPOINT_NS: Histogram =
-    Histogram::new("checkpoint.ns", "Wall time per checkpoint save or load");
-/// Checkpoints deleted by keep-last-K retention.
-pub static CHECKPOINT_PRUNED: Counter = Counter::new(
-    "checkpoint.pruned",
-    "Checkpoints deleted by keep-last-K retention",
-);
+    /// Checkpoints written.
+    Counter CHECKPOINT_SAVES = ("checkpoint.saves", "Checkpoints written");
+    /// Checkpoints restored.
+    Counter CHECKPOINT_LOADS = ("checkpoint.loads", "Checkpoints restored");
+    /// Bytes of checkpoint payload written or read.
+    Counter CHECKPOINT_BYTES = ("checkpoint.bytes", "Bytes of checkpoint payload written or read");
+    /// Wall time per checkpoint save or load.
+    Histogram CHECKPOINT_NS = ("checkpoint.ns", "Wall time per checkpoint save or load");
+    /// Checkpoints deleted by keep-last-K retention.
+    Counter CHECKPOINT_PRUNED = (
+        "checkpoint.pruned",
+        "Checkpoints deleted by keep-last-K retention",
+    );
 
-/// Write-ahead-log frames appended.
-pub static WAL_APPENDS: Counter = Counter::new("wal.appends", "Write-ahead-log frames appended");
-/// Bytes of WAL frames appended.
-pub static WAL_BYTES: Counter = Counter::new("wal.bytes", "Bytes of WAL frames appended");
-/// WAL fsync calls (durability=batch acks).
-pub static WAL_FSYNCS: Counter =
-    Counter::new("wal.fsyncs", "WAL fsync calls (durability=batch acks)");
-/// WAL retention rewrites after checkpoints.
-pub static WAL_TRUNCATIONS: Counter = Counter::new(
-    "wal.truncations",
-    "WAL retention rewrites after checkpoints",
-);
-/// Torn WAL tails truncated during recovery.
-pub static WAL_TORN_TAILS: Counter =
-    Counter::new("wal.torn_tails", "Torn WAL tails truncated during recovery");
-/// WAL frames replayed during recovery.
-pub static WAL_REPLAYED: Counter =
-    Counter::new("wal.replayed_frames", "WAL frames replayed during recovery");
-/// Wall time per WAL append, retention pass, or recovery scan.
-pub static WAL_NS: Histogram = Histogram::new(
-    "wal.ns",
-    "Wall time per WAL append, retention pass, or recovery scan",
-);
+    /// Write-ahead-log frames appended.
+    Counter WAL_APPENDS = ("wal.appends", "Write-ahead-log frames appended");
+    /// Bytes of WAL frames appended.
+    Counter WAL_BYTES = ("wal.bytes", "Bytes of WAL frames appended");
+    /// WAL fsync calls (durability=batch acks).
+    Counter WAL_FSYNCS = ("wal.fsyncs", "WAL fsync calls (durability=batch acks)");
+    /// WAL retention rewrites after checkpoints.
+    Counter WAL_TRUNCATIONS = ("wal.truncations", "WAL retention rewrites after checkpoints");
+    /// Torn WAL tails truncated during recovery.
+    Counter WAL_TORN_TAILS = ("wal.torn_tails", "Torn WAL tails truncated during recovery");
+    /// Wall time per WAL append, retention pass, or recovery scan.
+    Histogram WAL_NS = ("wal.ns", "Wall time per WAL append, retention pass, or recovery scan");
 
-/// Mode archives written.
-pub static ARCHIVE_SAVES: Counter = Counter::new("archive.saves", "Mode archives written");
-/// Bytes of mode archives written.
-pub static ARCHIVE_BYTES: Counter = Counter::new("archive.bytes", "Bytes of mode archives written");
-/// Time ranges replayed from mode archives.
-pub static ARCHIVE_REPLAYS: Counter =
-    Counter::new("archive.replays", "Time ranges replayed from mode archives");
-/// Node blocks streamed from archives during replay.
-pub static ARCHIVE_BLOCKS_READ: Counter = Counter::new(
-    "archive.blocks_read",
-    "Node blocks streamed from archives during replay",
-);
-/// Wall time per archive write or range replay.
-pub static ARCHIVE_NS: Histogram =
-    Histogram::new("archive.ns", "Wall time per archive write or range replay");
-
-/// Captures every metric in the process — the linalg kernel catalogue
-/// followed by this crate's pipeline catalogue — in fixed order.
-pub fn collect() -> Vec<MetricRecord> {
-    let mut out = collect_linalg();
-    for c in [
-        &ROUND_COUNT,
-        &INGEST_GAPS,
-        &INGEST_REPAIRED_CELLS,
-        &INGEST_MASKED_ROWS,
-        &FIT_FAULTS,
-        &CHECKPOINT_SAVES,
-        &CHECKPOINT_LOADS,
-        &CHECKPOINT_BYTES,
-        &CHECKPOINT_PRUNED,
-        &WAL_APPENDS,
-        &WAL_BYTES,
-        &WAL_FSYNCS,
-        &WAL_TRUNCATIONS,
-        &WAL_TORN_TAILS,
-        &WAL_REPLAYED,
-        &ARCHIVE_SAVES,
-        &ARCHIVE_BYTES,
-        &ARCHIVE_REPLAYS,
-        &ARCHIVE_BLOCKS_READ,
-    ] {
-        out.push(record_counter(c));
-    }
-    for g in [&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE] {
-        out.push(record_gauge(g));
-    }
-    for h in [&ROUND_NS, &INGEST_NS, &CHECKPOINT_NS, &WAL_NS, &ARCHIVE_NS] {
-        out.push(record_histogram(h));
-    }
-    out
+    /// Mode archives written.
+    Counter ARCHIVE_SAVES = ("archive.saves", "Mode archives written");
+    /// Bytes of mode archives written.
+    Counter ARCHIVE_BYTES = ("archive.bytes", "Bytes of mode archives written");
+    /// Time ranges replayed from mode archives.
+    Counter ARCHIVE_REPLAYS = ("archive.replays", "Time ranges replayed from mode archives");
+    /// Node blocks streamed from archives during replay.
+    Counter ARCHIVE_BLOCKS_READ = (
+        "archive.blocks_read",
+        "Node blocks streamed from archives during replay",
+    );
+    /// Wall time per archive write or range replay.
+    Histogram ARCHIVE_NS = ("archive.ns", "Wall time per archive write or range replay");
 }
 
-/// Zeroes every metric in the process (linalg + core catalogues).
+/// Tables of downstream crates, added with [`register`].
+static REGISTERED: Mutex<Vec<&'static [Metric]>> = Mutex::new(Vec::new());
+
+/// Adds a downstream crate's `METRICS` table to the set [`reset`] zeroes.
+/// Registering the same table again is a no-op.
+pub fn register(table: &'static [Metric]) {
+    let mut tables = REGISTERED.lock().unwrap_or_else(PoisonError::into_inner);
+    if !tables.iter().any(|t| std::ptr::eq(*t, table)) {
+        tables.push(table);
+    }
+}
+
+/// Zeroes every registered metric in the process: the linalg and core
+/// tables, then every table added with [`register`].
 pub fn reset() {
-    reset_linalg();
-    for c in [
-        &ROUND_COUNT,
-        &INGEST_GAPS,
-        &INGEST_REPAIRED_CELLS,
-        &INGEST_MASKED_ROWS,
-        &FIT_FAULTS,
-        &CHECKPOINT_SAVES,
-        &CHECKPOINT_LOADS,
-        &CHECKPOINT_BYTES,
-        &CHECKPOINT_PRUNED,
-        &WAL_APPENDS,
-        &WAL_BYTES,
-        &WAL_FSYNCS,
-        &WAL_TRUNCATIONS,
-        &WAL_TORN_TAILS,
-        &WAL_REPLAYED,
-        &ARCHIVE_SAVES,
-        &ARCHIVE_BYTES,
-        &ARCHIVE_REPLAYS,
-        &ARCHIVE_BLOCKS_READ,
-    ] {
-        c.reset();
-    }
-    for g in [&ROUND_PENDING, &ROUND_DRIFT, &HEALTH_COVERAGE] {
-        g.reset();
-    }
-    for h in [&ROUND_NS, &INGEST_NS, &CHECKPOINT_NS, &WAL_NS, &ARCHIVE_NS] {
-        h.reset();
-    }
-}
-
-fn record_counter(c: &'static Counter) -> MetricRecord {
-    MetricRecord {
-        name: c.name(),
-        help: c.help(),
-        value: MetricValue::Counter(c.value()),
-    }
-}
-
-fn record_gauge(g: &'static Gauge) -> MetricRecord {
-    MetricRecord {
-        name: g.name(),
-        help: g.help(),
-        value: MetricValue::Gauge(g.value()),
-    }
-}
-
-fn record_histogram(h: &'static Histogram) -> MetricRecord {
-    MetricRecord {
-        name: h.name(),
-        help: h.help(),
-        value: MetricValue::Histogram(h.snapshot()),
+    let tables = REGISTERED.lock().unwrap_or_else(PoisonError::into_inner);
+    for table in [hpc_linalg::obs::METRICS, METRICS]
+        .iter()
+        .chain(tables.iter())
+    {
+        table.iter().for_each(Metric::reset);
     }
 }
 
@@ -232,38 +130,8 @@ fn record_histogram(h: &'static Histogram) -> MetricRecord {
 // Snapshot types (serde)
 // ---------------------------------------------------------------------------
 
-/// Serializable histogram state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HistogramEntry {
-    /// Upper bucket bounds in nanoseconds (overflow bucket implicit).
-    pub bounds_ns: Vec<u64>,
-    /// Per-bucket counts; one longer than `bounds_ns` (overflow last).
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed durations in nanoseconds.
-    pub sum_ns: u64,
-}
-
-/// One metric in a [`MetricsSnapshot`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MetricEntry {
-    /// Dotted metric name, e.g. `ingest.repaired_cells`.
-    pub name: String,
-    /// `counter`, `gauge` or `histogram`.
-    pub kind: String,
-    /// One-line description.
-    pub help: String,
-    /// Counter value (counters only).
-    pub counter: Option<u64>,
-    /// Gauge value (gauges only).
-    pub gauge: Option<f64>,
-    /// Histogram state (histograms only).
-    pub histogram: Option<HistogramEntry>,
-}
-
-/// A point-in-time capture of every metric in the process, in fixed
-/// catalogue order. Serializes with serde; renders to Prometheus text.
+/// A point-in-time capture of metric tables, in table then declaration
+/// order. Serializes with serde; renders to Prometheus text.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// The captured metrics.
@@ -271,11 +139,21 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Captures the current value of every metric.
-    pub fn capture() -> MetricsSnapshot {
+    /// Captures every metric of `tables`, in order.
+    pub fn of(tables: &[&[Metric]]) -> MetricsSnapshot {
         MetricsSnapshot {
-            metrics: collect().into_iter().map(entry_of).collect(),
+            metrics: tables
+                .iter()
+                .copied()
+                .flatten()
+                .map(Metric::entry)
+                .collect(),
         }
+    }
+
+    /// Captures the current value of every linalg and core metric.
+    pub fn capture() -> MetricsSnapshot {
+        MetricsSnapshot::of(&[hpc_linalg::obs::METRICS, METRICS])
     }
 
     /// The value of a counter by dotted name.
@@ -386,32 +264,6 @@ impl MetricsLine {
     /// Serializes as one line of JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).unwrap_or_else(|_| "{}".to_string())
-    }
-}
-
-fn entry_of(r: MetricRecord) -> MetricEntry {
-    let (kind, counter, gauge, histogram) = match r.value {
-        MetricValue::Counter(v) => ("counter", Some(v), None, None),
-        MetricValue::Gauge(v) => ("gauge", None, Some(v), None),
-        MetricValue::Histogram(h) => (
-            "histogram",
-            None,
-            None,
-            Some(HistogramEntry {
-                bounds_ns: h.bounds_ns.to_vec(),
-                counts: h.counts,
-                count: h.count,
-                sum_ns: h.sum_ns,
-            }),
-        ),
-    };
-    MetricEntry {
-        name: r.name.to_string(),
-        kind: kind.to_string(),
-        help: r.help.to_string(),
-        counter,
-        gauge,
-        histogram,
     }
 }
 

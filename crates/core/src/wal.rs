@@ -380,9 +380,8 @@ impl Wal {
     }
 
     /// Appends one repaired batch as a single CRC-framed write; fsyncs
-    /// when the durability mode is [`Durability::Batch`]. Returns the
-    /// frame's size in bytes.
-    pub fn append(&mut self, first_step: u64, batch: &Mat) -> Result<u64, WalError> {
+    /// when the durability mode is [`Durability::Batch`].
+    pub fn append(&mut self, first_step: u64, batch: &Mat) -> Result<(), WalError> {
         let _span = crate::obs::WAL_NS.span();
         if take_append_failure() {
             return Err(WalError::Injected);
@@ -395,7 +394,7 @@ impl Wal {
         }
         crate::obs::WAL_APPENDS.inc();
         crate::obs::WAL_BYTES.add(frame.len() as u64);
-        Ok(frame.len() as u64)
+        Ok(())
     }
 
     /// Flushes the log to stable storage regardless of durability mode

@@ -12,24 +12,23 @@
 //! * [`Gauge`] — last-write-wins `f64` value;
 //! * [`Histogram`] — fixed-bucket nanosecond histogram with a
 //!   [`span`](Histogram::span) RAII timer;
-//! * an injectable [clock](now_ns): monotonic in production, a fake
-//!   deterministic counter in tests ([`use_fake_clock`]), so recorded
-//!   outputs can be made bit-stable across runs and thread counts;
+//! * an injectable clock: monotonic in production, a fake deterministic
+//!   counter in tests ([`Observer::with_fake_clock`]), so recorded outputs
+//!   can be made bit-stable across runs and thread counts;
 //! * a process-wide enable switch ([`Observer`]) whose disabled path is one
 //!   relaxed atomic load per instrumentation site.
 //!
-//! Metrics are `static` items registered in a fixed list ([`collect`]), so
-//! snapshot order is deterministic and there is no registration machinery.
-//! The whole module is behind the `obs` cargo feature (on by default): with
-//! the feature off every recording method compiles to an empty inline
-//! function while the reading API stays available (and reports zeros).
+//! Each crate declares its metrics once, with [`metrics!`](crate::metrics),
+//! which emits the `static` items and the crate's [`METRICS`] table of
+//! [`Metric`] handles. Snapshots ([`Metric::entry`]) and resets
+//! ([`Metric::reset`]) walk those tables, so snapshot order is declaration
+//! order and no series can be declared but left out.
 //!
 //! Nothing here ever touches numerical state: instrumentation cannot perturb
 //! the bitwise determinism guarantees of the kernels at any thread count.
 
-#[cfg(feature = "obs")]
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -45,7 +44,6 @@ struct Shard(AtomicU64);
 const SHARD_ZERO: Shard = Shard(AtomicU64::new(0));
 
 /// Stable small id of the calling thread, used to pick a counter shard.
-#[cfg(feature = "obs")]
 fn shard_idx() -> usize {
     use std::cell::Cell;
     thread_local! {
@@ -68,11 +66,10 @@ fn shard_idx() -> usize {
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether instrumentation is currently recording. With the `obs` feature
-/// off this is always `false` (and folds to a constant).
+/// Whether instrumentation is currently recording.
 #[inline(always)]
-pub fn is_enabled() -> bool {
-    cfg!(feature = "obs") && ENABLED.load(Ordering::Relaxed)
+fn is_enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Clock mode: 0 = monotonic (`Instant`), 1 = fake (deterministic counter).
@@ -86,27 +83,12 @@ static MONO_BASE: OnceLock<Instant> = OnceLock::new();
 /// Monotonic mode reads a process-wide [`Instant`] base; fake mode returns
 /// the injected counter and advances it by the configured step (use step 0
 /// for values that must be identical across threads and interleavings).
-pub fn now_ns() -> u64 {
+fn now_ns() -> u64 {
     if CLOCK_MODE.load(Ordering::Relaxed) == 1 {
         FAKE_NOW.fetch_add(FAKE_STEP.load(Ordering::Relaxed), Ordering::Relaxed)
     } else {
         MONO_BASE.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
-}
-
-/// Switches the observability clock to a deterministic fake: `now_ns()`
-/// returns `start_ns`, then advances by `step_ns` per read. A step of 0
-/// makes every recorded duration exactly 0 regardless of thread count —
-/// the mode the determinism tests run under.
-pub fn use_fake_clock(start_ns: u64, step_ns: u64) {
-    FAKE_NOW.store(start_ns, Ordering::Relaxed);
-    FAKE_STEP.store(step_ns, Ordering::Relaxed);
-    CLOCK_MODE.store(1, Ordering::Relaxed);
-}
-
-/// Switches the observability clock back to the monotonic production clock.
-pub fn use_monotonic_clock() {
-    CLOCK_MODE.store(0, Ordering::Relaxed);
 }
 
 /// Handle configuring the process-wide observability state: whether metrics
@@ -142,8 +124,10 @@ impl Observer {
         }
     }
 
-    /// Uses the deterministic fake clock (see [`use_fake_clock`]) instead of
-    /// the monotonic production clock.
+    /// Uses a deterministic fake clock instead of the monotonic production
+    /// clock: it reads `start_ns`, then advances by `step_ns` per read. A
+    /// step of 0 makes every recorded duration exactly 0 regardless of
+    /// thread count — the mode the determinism tests run under.
     pub fn with_fake_clock(mut self, start_ns: u64, step_ns: u64) -> Observer {
         self.fake_clock = Some((start_ns, step_ns));
         self
@@ -152,8 +136,12 @@ impl Observer {
     /// Applies this configuration process-wide.
     pub fn install(self) {
         match self.fake_clock {
-            Some((start, step)) => use_fake_clock(start, step),
-            None => use_monotonic_clock(),
+            Some((start, step)) => {
+                FAKE_NOW.store(start, Ordering::Relaxed);
+                FAKE_STEP.store(step, Ordering::Relaxed);
+                CLOCK_MODE.store(1, Ordering::Relaxed);
+            }
+            None => CLOCK_MODE.store(0, Ordering::Relaxed),
         }
         ENABLED.store(self.enabled, Ordering::Relaxed);
     }
@@ -183,12 +171,9 @@ impl Counter {
     /// Adds `n` if observation is enabled.
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "obs")]
         if is_enabled() {
             self.shards[shard_idx()].0.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = n;
     }
 
     /// Adds 1 if observation is enabled.
@@ -203,23 +188,6 @@ impl Counter {
             .iter()
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// The metric's dotted name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The metric's help text.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    /// Zeroes the counter (tests and per-interval deltas).
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -243,32 +211,14 @@ impl Gauge {
     /// Stores `v` if observation is enabled.
     #[inline(always)]
     pub fn set(&self, v: f64) {
-        #[cfg(feature = "obs")]
         if is_enabled() {
             self.bits.store(v.to_bits(), Ordering::Relaxed);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = v;
     }
 
     /// The stored value.
     pub fn value(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// The metric's dotted name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The metric's help text.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    /// Resets the gauge to `0.0` (tests and per-interval deltas).
-    pub fn reset(&self) {
-        self.bits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -319,7 +269,6 @@ impl Histogram {
     /// Records one observation of `ns` nanoseconds if observation is enabled.
     #[inline]
     pub fn record(&self, ns: u64) {
-        #[cfg(feature = "obs")]
         if is_enabled() {
             let idx = NS_BUCKET_BOUNDS
                 .iter()
@@ -329,8 +278,6 @@ impl Histogram {
             self.sum_ns.fetch_add(ns, Ordering::Relaxed);
             self.count.fetch_add(1, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = ns;
     }
 
     /// Starts a span timer that records its elapsed time into this histogram
@@ -347,9 +294,9 @@ impl Histogram {
 
     /// Current per-bucket counts (including the trailing overflow bucket),
     /// total observation count and nanosecond sum.
-    pub fn snapshot(&self) -> HistogramData {
-        HistogramData {
-            bounds_ns: &NS_BUCKET_BOUNDS,
+    pub fn snapshot(&self) -> HistogramEntry {
+        HistogramEntry {
+            bounds_ns: NS_BUCKET_BOUNDS.to_vec(),
             counts: self
                 .counts
                 .iter()
@@ -358,25 +305,6 @@ impl Histogram {
             count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// The metric's dotted name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The metric's help text.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    /// Zeroes the histogram (tests and per-interval deltas).
-    pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 }
 
@@ -395,221 +323,190 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot surface
+// Tables and snapshot entries
 // ---------------------------------------------------------------------------
 
-/// Raw histogram state captured by [`Histogram::snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramData {
-    /// Upper bucket bounds in nanoseconds (the overflow bucket is implicit).
-    pub bounds_ns: &'static [u64],
-    /// Per-bucket observation counts; `counts.len() == bounds_ns.len() + 1`,
-    /// the last entry being the overflow bucket.
+/// Serializable histogram state.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct HistogramEntry {
+    /// Upper bucket bounds in nanoseconds (overflow bucket implicit).
+    pub bounds_ns: Vec<u64>,
+    /// Per-bucket counts; one longer than `bounds_ns` (overflow last).
     pub counts: Vec<u64>,
     /// Total observations.
     pub count: u64,
-    /// Sum of all observed durations, in nanoseconds.
+    /// Sum of observed durations in nanoseconds.
     pub sum_ns: u64,
 }
 
-/// The value of one metric at snapshot time.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// Monotonic counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
-    /// Histogram state.
-    Histogram(HistogramData),
-}
-
-/// One metric (name, help text, value) captured by [`collect`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricRecord {
-    /// Dotted metric name, e.g. `gemm.calls`.
-    pub name: &'static str,
+/// One metric in a snapshot.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct MetricEntry {
+    /// Dotted metric name, e.g. `ingest.repaired_cells`.
+    pub name: String,
+    /// `counter`, `gauge` or `histogram`.
+    pub kind: String,
     /// One-line description.
-    pub help: &'static str,
-    /// The captured value.
-    pub value: MetricValue,
+    pub help: String,
+    /// Counter value (counters only).
+    pub counter: Option<u64>,
+    /// Gauge value (gauges only).
+    pub gauge: Option<f64>,
+    /// Histogram state (histograms only).
+    pub histogram: Option<HistogramEntry>,
+}
+
+/// A handle on one declared metric static: the element type of every
+/// crate's `METRICS` table.
+#[derive(Clone, Copy)]
+pub enum Metric {
+    /// A monotonic counter.
+    Counter(&'static Counter),
+    /// A last-write-wins gauge.
+    Gauge(&'static Gauge),
+    /// A nanosecond histogram.
+    Histogram(&'static Histogram),
+}
+
+impl Metric {
+    /// The metric's name, help text and current value.
+    pub fn entry(&self) -> MetricEntry {
+        let (name, help, kind, counter, gauge, histogram) = match *self {
+            Metric::Counter(c) => (c.name, c.help, "counter", Some(c.value()), None, None),
+            Metric::Gauge(g) => (g.name, g.help, "gauge", None, Some(g.value()), None),
+            Metric::Histogram(h) => (h.name, h.help, "histogram", None, None, Some(h.snapshot())),
+        };
+        MetricEntry {
+            name: name.to_string(),
+            kind: kind.to_string(),
+            help: help.to_string(),
+            counter,
+            gauge,
+            histogram,
+        }
+    }
+
+    /// Zeroes the metric (tests and per-interval deltas).
+    pub fn reset(&self) {
+        match *self {
+            Metric::Counter(c) => c
+                .shards
+                .iter()
+                .for_each(|s| s.0.store(0, Ordering::Relaxed)),
+            Metric::Gauge(g) => g.bits.store(0, Ordering::Relaxed),
+            Metric::Histogram(h) => {
+                h.counts.iter().for_each(|c| c.store(0, Ordering::Relaxed));
+                h.sum_ns.store(0, Ordering::Relaxed);
+                h.count.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Declares a crate's metrics from one list: each line becomes a documented
+/// `pub static`, and the whole list becomes the crate's
+/// `pub static METRICS: &[Metric]` table, in declaration order. A series
+/// cannot be declared without landing in the table that snapshots and
+/// resets walk.
+///
+/// ```
+/// hpc_linalg::metrics! {
+///     /// Widgets built.
+///     Counter WIDGETS = ("demo.widgets", "Widgets built");
+///     /// Wall time per widget.
+///     Histogram WIDGET_NS = ("demo.widget_ns", "Wall time per widget");
+/// }
+/// WIDGETS.inc();
+/// assert_eq!(METRICS.len(), 2);
+/// assert_eq!(METRICS[1].entry().name, "demo.widget_ns");
+/// ```
+#[macro_export]
+macro_rules! metrics {
+    ($($(#[$attr:meta])* $kind:ident $name:ident = ($metric:literal, $help:literal $(,)?);)*) => {
+        $(
+            $(#[$attr])*
+            pub static $name: $crate::obs::$kind = $crate::obs::$kind::new($metric, $help);
+        )*
+        /// Every metric this crate declares, in declaration order.
+        pub static METRICS: &[$crate::obs::Metric] = &[$($crate::obs::Metric::$kind(&$name)),*];
+    };
 }
 
 // ---------------------------------------------------------------------------
-// The linalg metric catalogue
+// The linalg metric table
 // ---------------------------------------------------------------------------
 
-/// Dense f64 GEMM kernel invocations (every matmul variant routes here).
-pub static GEMM_CALLS: Counter = Counter::new("gemm.calls", "Dense f64 GEMM kernel invocations");
-/// Floating-point operations issued by GEMM (`2·m·k·n` per call).
-pub static GEMM_FLOPS: Counter = Counter::new(
-    "gemm.flops",
-    "Floating-point operations issued by GEMM (2mkn per call)",
-);
-/// Wall time per GEMM call.
-pub static GEMM_NS: Histogram = Histogram::new("gemm.ns", "Wall time per GEMM call");
+metrics! {
+    /// Dense f64 GEMM kernel invocations (every matmul variant routes here).
+    Counter GEMM_CALLS = ("gemm.calls", "Dense f64 GEMM kernel invocations");
+    /// Floating-point operations issued by GEMM (`2·m·k·n` per call).
+    Counter GEMM_FLOPS = ("gemm.flops", "Floating-point operations issued by GEMM (2mkn per call)");
+    /// Wall time per GEMM call.
+    Histogram GEMM_NS = ("gemm.ns", "Wall time per GEMM call");
 
-/// Householder QR factorizations.
-pub static QR_CALLS: Counter = Counter::new("qr.calls", "Householder QR factorizations");
-/// Wall time per QR factorization.
-pub static QR_NS: Histogram = Histogram::new("qr.ns", "Wall time per QR factorization");
+    /// Householder QR factorizations.
+    Counter QR_CALLS = ("qr.calls", "Householder QR factorizations");
+    /// Wall time per QR factorization.
+    Histogram QR_NS = ("qr.ns", "Wall time per QR factorization");
 
-/// One-sided Jacobi SVD solves (all entry points).
-pub static SVD_CALLS: Counter = Counter::new("svd.calls", "One-sided Jacobi SVD solves");
-/// SVD solves that left the standard sweep budget (doubled-budget retry; a
-/// forced-nonconvergence failpoint counts once).
-pub static SVD_ESCALATIONS: Counter = Counter::new(
-    "svd.escalations",
-    "SVD solves escalated past the standard sweep budget",
-);
-/// SVD solves whose escalation also failed (reported as typed errors).
-pub static SVD_FAILURES: Counter = Counter::new(
-    "svd.failures",
-    "SVD solves that exhausted the escalation ladder",
-);
-/// Wall time per SVD solve.
-pub static SVD_NS: Histogram = Histogram::new("svd.ns", "Wall time per SVD solve");
+    /// One-sided Jacobi SVD solves (all entry points).
+    Counter SVD_CALLS = ("svd.calls", "One-sided Jacobi SVD solves");
+    /// SVD solves that left the standard sweep budget (doubled-budget retry; a
+    /// forced-nonconvergence failpoint counts once).
+    Counter SVD_ESCALATIONS = (
+        "svd.escalations",
+        "SVD solves escalated past the standard sweep budget",
+    );
+    /// SVD solves whose escalation also failed (reported as typed errors).
+    Counter SVD_FAILURES = ("svd.failures", "SVD solves that exhausted the escalation ladder");
+    /// Wall time per SVD solve.
+    Histogram SVD_NS = ("svd.ns", "Wall time per SVD solve");
 
-/// Complex eigendecompositions (every eig entry point routes here).
-pub static EIG_CALLS: Counter = Counter::new("eig.calls", "Complex eigendecompositions");
-/// Eig solves that left the first ladder rung (each further rung transition
-/// counts again; a forced-nonconvergence failpoint counts once).
-pub static EIG_ESCALATIONS: Counter = Counter::new(
-    "eig.escalations",
-    "Eigensolver rung transitions past the standard budget",
-);
-/// Eig solves whose full ladder failed (reported as typed errors).
-pub static EIG_FAILURES: Counter = Counter::new(
-    "eig.failures",
-    "Eig solves that exhausted the escalation ladder",
-);
-/// Wall time per eigendecomposition.
-pub static EIG_NS: Histogram = Histogram::new("eig.ns", "Wall time per eigendecomposition");
+    /// Complex eigendecompositions (every eig entry point routes here).
+    Counter EIG_CALLS = ("eig.calls", "Complex eigendecompositions");
+    /// Eig solves that left the first ladder rung (each further rung transition
+    /// counts again; a forced-nonconvergence failpoint counts once).
+    Counter EIG_ESCALATIONS = (
+        "eig.escalations",
+        "Eigensolver rung transitions past the standard budget",
+    );
+    /// Eig solves whose full ladder failed (reported as typed errors).
+    Counter EIG_FAILURES = ("eig.failures", "Eig solves that exhausted the escalation ladder");
+    /// Wall time per eigendecomposition.
+    Histogram EIG_NS = ("eig.ns", "Wall time per eigendecomposition");
 
-/// Brand incremental-SVD updates absorbed.
-pub static ISVD_UPDATES: Counter =
-    Counter::new("isvd.updates", "Brand incremental-SVD updates absorbed");
-/// Wall time per incremental-SVD update.
-pub static ISVD_UPDATE_NS: Histogram =
-    Histogram::new("isvd.update_ns", "Wall time per incremental-SVD update");
+    /// Brand incremental-SVD updates absorbed.
+    Counter ISVD_UPDATES = ("isvd.updates", "Brand incremental-SVD updates absorbed");
+    /// Wall time per incremental-SVD update.
+    Histogram ISVD_UPDATE_NS = ("isvd.update_ns", "Wall time per incremental-SVD update");
 
-/// Sketched truncated-SVD fits (the `FitStrategy::Sketched` kernel; exact
-/// fallbacks for probes as wide as the matrix do not count).
-pub static SKETCH_FITS: Counter = Counter::new("sketch.fits", "Sketched truncated-SVD fits");
-/// Gaussian range-finder probes drawn (one per sketched fit plus one per
-/// streaming-sketch cold start; basis reuse keeps this far below fits×rounds).
-pub static SKETCH_PROBES: Counter =
-    Counter::new("sketch.probes", "Gaussian range-finder probes drawn");
-/// Streaming-sketch basis refreshes: rounds whose residual forced new
-/// directions into the reused range basis.
-pub static SKETCH_REFRESHES: Counter = Counter::new(
-    "sketch.refreshes",
-    "Streaming-sketch basis augmentations (residual directions added)",
-);
-/// Streaming-sketch basis compressions back under the rank cap.
-pub static SKETCH_COMPRESSIONS: Counter = Counter::new(
-    "sketch.compressions",
-    "Streaming-sketch basis compressions back under the rank cap",
-);
-/// Wall time per sketched SVD fit (probe, power iterations, projected solve).
-pub static SKETCH_NS: Histogram = Histogram::new("sketch.ns", "Wall time per sketched SVD fit");
+    /// Sketched truncated-SVD fits (the `FitStrategy::Sketched` kernel; exact
+    /// fallbacks for probes as wide as the matrix do not count).
+    Counter SKETCH_FITS = ("sketch.fits", "Sketched truncated-SVD fits");
+    /// Gaussian range-finder probes drawn (one per sketched fit plus one per
+    /// streaming-sketch cold start; basis reuse keeps this far below fits×rounds).
+    Counter SKETCH_PROBES = ("sketch.probes", "Gaussian range-finder probes drawn");
+    /// Streaming-sketch basis refreshes: rounds whose residual forced new
+    /// directions into the reused range basis.
+    Counter SKETCH_REFRESHES = (
+        "sketch.refreshes",
+        "Streaming-sketch basis augmentations (residual directions added)",
+    );
+    /// Streaming-sketch basis compressions back under the rank cap.
+    Counter SKETCH_COMPRESSIONS = (
+        "sketch.compressions",
+        "Streaming-sketch basis compressions back under the rank cap",
+    );
+    /// Wall time per sketched SVD fit (probe, power iterations, projected solve).
+    Histogram SKETCH_NS = ("sketch.ns", "Wall time per sketched SVD fit");
 
-/// Fork-join scopes opened by the worker pool.
-pub static POOL_FORKS: Counter =
-    Counter::new("pool.forks", "Fork-join scopes opened by the worker pool");
-/// Tasks executed on borrowed pool workers (scheduler-dependent: varies with
-/// the thread budget, excluded from cross-thread determinism comparisons).
-pub static POOL_TASKS: Counter =
-    Counter::new("pool.tasks", "Tasks executed on borrowed pool workers");
-/// Process-wide worker-thread budget currently configured.
-pub static POOL_THREADS: Gauge = Gauge::new("pool.threads", "Process-wide worker-thread budget");
-
-/// Captures every metric of this crate, in fixed catalogue order.
-pub fn collect() -> Vec<MetricRecord> {
-    let counters: [&Counter; 15] = [
-        &GEMM_CALLS,
-        &GEMM_FLOPS,
-        &QR_CALLS,
-        &SVD_CALLS,
-        &SVD_ESCALATIONS,
-        &SVD_FAILURES,
-        &EIG_CALLS,
-        &EIG_ESCALATIONS,
-        &EIG_FAILURES,
-        &ISVD_UPDATES,
-        &SKETCH_FITS,
-        &SKETCH_PROBES,
-        &SKETCH_REFRESHES,
-        &SKETCH_COMPRESSIONS,
-        &POOL_FORKS,
-    ];
-    let mut out = Vec::new();
-    for c in counters {
-        out.push(MetricRecord {
-            name: c.name,
-            help: c.help,
-            value: MetricValue::Counter(c.value()),
-        });
-    }
-    out.push(MetricRecord {
-        name: POOL_TASKS.name,
-        help: POOL_TASKS.help,
-        value: MetricValue::Counter(POOL_TASKS.value()),
-    });
-    out.push(MetricRecord {
-        name: POOL_THREADS.name,
-        help: POOL_THREADS.help,
-        value: MetricValue::Gauge(POOL_THREADS.value()),
-    });
-    for h in [
-        &GEMM_NS,
-        &QR_NS,
-        &SVD_NS,
-        &SKETCH_NS,
-        &EIG_NS,
-        &ISVD_UPDATE_NS,
-    ] {
-        out.push(MetricRecord {
-            name: h.name,
-            help: h.help,
-            value: MetricValue::Histogram(h.snapshot()),
-        });
-    }
-    out
-}
-
-/// Zeroes every metric of this crate (counters, gauges, histograms).
-pub fn reset() {
-    for c in [
-        &GEMM_CALLS,
-        &GEMM_FLOPS,
-        &QR_CALLS,
-        &SVD_CALLS,
-        &SVD_ESCALATIONS,
-        &SVD_FAILURES,
-        &EIG_CALLS,
-        &EIG_ESCALATIONS,
-        &EIG_FAILURES,
-        &ISVD_UPDATES,
-        &SKETCH_FITS,
-        &SKETCH_PROBES,
-        &SKETCH_REFRESHES,
-        &SKETCH_COMPRESSIONS,
-        &POOL_FORKS,
-        &POOL_TASKS,
-    ] {
-        c.reset();
-    }
-    POOL_THREADS.reset();
-    for h in [
-        &GEMM_NS,
-        &QR_NS,
-        &SVD_NS,
-        &SKETCH_NS,
-        &EIG_NS,
-        &ISVD_UPDATE_NS,
-    ] {
-        h.reset();
-    }
+    /// Fork-join scopes opened by the worker pool.
+    Counter POOL_FORKS = ("pool.forks", "Fork-join scopes opened by the worker pool");
+    /// Tasks executed on borrowed pool workers (scheduler-dependent: varies with
+    /// the thread budget, excluded from cross-thread determinism comparisons).
+    Counter POOL_TASKS = ("pool.tasks", "Tasks executed on borrowed pool workers");
+    /// Process-wide worker-thread budget currently configured.
+    Gauge POOL_THREADS = ("pool.threads", "Process-wide worker-thread budget");
 }
 
 #[cfg(test)]
@@ -637,11 +534,7 @@ mod tests {
                 });
             }
         });
-        if cfg!(feature = "obs") {
-            assert_eq!(C.value() - before, 400);
-        } else {
-            assert_eq!(C.value(), 0);
-        }
+        assert_eq!(C.value() - before, 400);
     }
 
     #[test]
@@ -653,26 +546,22 @@ mod tests {
         H.record(2_000_000); // ≤ 4ms bucket
         H.record(u64::MAX); // overflow bucket
         let snap = H.snapshot();
-        if cfg!(feature = "obs") {
-            assert_eq!(snap.count, 3);
-            assert_eq!(snap.counts[0], 1);
-            assert_eq!(snap.counts[6], 1);
-            assert_eq!(*snap.counts.last().unwrap(), 1);
-        } else {
-            assert_eq!(snap.count, 0);
-        }
+        assert_eq!(snap.count, 3);
+        assert_eq!(snap.counts[0], 1);
+        assert_eq!(snap.counts[6], 1);
+        assert_eq!(*snap.counts.last().unwrap(), 1);
     }
 
     #[test]
     fn fake_clock_is_deterministic() {
         let _g = LOCK.lock().unwrap();
-        use_fake_clock(100, 0);
+        Observer::enabled().with_fake_clock(100, 0).install();
         assert_eq!(now_ns(), 100);
         assert_eq!(now_ns(), 100);
-        use_fake_clock(0, 7);
+        Observer::enabled().with_fake_clock(0, 7).install();
         assert_eq!(now_ns(), 0);
         assert_eq!(now_ns(), 7);
-        use_monotonic_clock();
+        Observer::enabled().install();
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
@@ -687,6 +576,6 @@ mod tests {
         assert_eq!(C.value(), 0);
         Observer::enabled().install();
         C.inc();
-        assert_eq!(C.value(), if cfg!(feature = "obs") { 1 } else { 0 });
+        assert_eq!(C.value(), 1);
     }
 }

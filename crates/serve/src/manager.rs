@@ -93,6 +93,7 @@ impl ShardManager {
         opts.checkpoint_every = opts.checkpoint_every.max(1);
         opts.max_tenants = opts.max_tenants.max(1);
         opts.max_inflight = opts.max_inflight.max(1);
+        imrdmd::obs::register(obs::METRICS);
         ShardManager {
             opts,
             shards: RwLock::new(BTreeMap::new()),

@@ -324,15 +324,9 @@ impl Shard {
         let Some(wal) = &mut self.wal else {
             return;
         };
-        match wal.append(first_step as u64, effective) {
-            Ok(bytes) => {
-                obs::WAL_APPENDS.inc();
-                obs::WAL_BYTES.add(bytes);
-            }
-            Err(e) => {
-                obs::WAL_APPEND_FAILURES.inc();
-                self.degraded_cause = Some(e.to_string());
-            }
+        if let Err(e) = wal.append(first_step as u64, effective) {
+            obs::WAL_APPEND_FAILURES.inc();
+            self.degraded_cause = Some(e.to_string());
         }
     }
 

@@ -2,12 +2,10 @@
 //!
 //! The metrics registry is process-global, so every test here serialises
 //! through one mutex and restores the default observer state (enabled,
-//! monotonic clock, counters zeroed, failpoints disarmed) on drop. Tests
-//! early-return when the `obs` cargo feature is compiled out — the reading
-//! API still exists there, but every counter is pinned at zero.
+//! monotonic clock, counters zeroed, failpoints disarmed) on drop.
 
 use mrdmd_suite::core::obs;
-use mrdmd_suite::core::obs::{HistogramEntry, MetricEntry};
+use mrdmd_suite::core::obs::{HistogramEntry, Metric, MetricEntry};
 use mrdmd_suite::linalg::failpoint;
 use mrdmd_suite::prelude::*;
 use mrdmd_suite::telemetry::write_snapshots_csv;
@@ -88,9 +86,6 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn deterministic_metrics_across_thread_counts() {
     let _g = ObsGuard::acquire();
-    if !obs::is_enabled() {
-        return;
-    }
     let dt = 1.0;
     let data = signal(8, 512, dt);
     let mut reference: Option<Vec<(String, f64)>> = None;
@@ -124,9 +119,6 @@ fn deterministic_metrics_across_thread_counts() {
 #[test]
 fn ingest_counters_match_fault_injector_ground_truth() {
     let _g = ObsGuard::acquire();
-    if !obs::is_enabled() {
-        return;
-    }
     let n_nodes = 16;
     let total = 800;
     let chunk = 100;
@@ -192,9 +184,6 @@ fn ingest_counters_match_fault_injector_ground_truth() {
 #[test]
 fn forced_escalations_match_armed_count() {
     let _g = ObsGuard::acquire();
-    if !obs::is_enabled() {
-        return;
-    }
     let dt = 1.0;
     let data = signal(8, 640, dt);
     let c = cfg(dt, 1);
@@ -311,9 +300,6 @@ fn disabled_observer_is_bitwise_identical_and_silent() {
 #[test]
 fn cli_stream_metrics_lines_match_ground_truth() {
     let _g = ObsGuard::acquire();
-    if !obs::is_enabled() {
-        return;
-    }
     let n_nodes = 12;
     let total = 600;
     let chunk = 100;
@@ -395,5 +381,62 @@ fn cli_stream_metrics_lines_match_ground_truth() {
                 <= w[1].snapshot.counter("ingest.repaired_cells")
         );
         assert!(w[0].snapshot.counter("gemm.calls") <= w[1].snapshot.counter("gemm.calls"));
+    }
+}
+
+/// The registry as `GET /metrics` sees it: every exposed series name
+/// (histogram `_bucket`/`_sum`/`_count` lines included) is unique after the
+/// Prometheus `.`→`_` mapping, and `obs::reset()` zeroes every registered
+/// series — the linalg and core tables and the `serve.*` table a shard
+/// manager registers.
+#[test]
+fn registry_names_are_unique_and_reset_zeroes_every_series() {
+    let _g = ObsGuard::acquire();
+    let _manager = imrdmd_serve::ShardManager::new(imrdmd_serve::ManagerConfig::default());
+    let tables = [
+        mrdmd_suite::linalg::obs::METRICS,
+        obs::METRICS,
+        imrdmd_serve::obs::METRICS,
+    ];
+    let snap = imrdmd_serve::obs::fleet_snapshot();
+    let n_series: usize = tables.iter().map(|t| t.len()).sum();
+    assert_eq!(snap.metrics.len(), n_series);
+    let mut exposed = HashSet::new();
+    for m in &snap.metrics {
+        let name = m.name.replace('.', "_");
+        let lines = match m.histogram {
+            Some(_) => vec![
+                format!("{name}_bucket"),
+                format!("{name}_sum"),
+                format!("{name}_count"),
+            ],
+            None => vec![name],
+        };
+        for line in lines {
+            assert!(
+                exposed.insert(line.clone()),
+                "duplicate Prometheus series {line}"
+            );
+        }
+    }
+
+    for m in tables.iter().copied().flatten() {
+        match m {
+            Metric::Counter(c) => c.inc(),
+            Metric::Gauge(g) => g.set(1.0),
+            Metric::Histogram(h) => h.record(1),
+        }
+    }
+    let is_zero = |m: &MetricEntry| match (m.counter, m.gauge, &m.histogram) {
+        (Some(c), _, _) => c == 0,
+        (_, Some(g), _) => g == 0.0,
+        (_, _, Some(h)) => h.count == 0 && h.sum_ns == 0 && h.counts.iter().all(|&c| c == 0),
+        _ => false,
+    };
+    let bumped = imrdmd_serve::obs::fleet_snapshot();
+    assert!(bumped.metrics.iter().all(|m| !is_zero(m)));
+    obs::reset();
+    for m in &imrdmd_serve::obs::fleet_snapshot().metrics {
+        assert!(is_zero(m), "{} survived obs::reset(): {m:?}", m.name);
     }
 }
