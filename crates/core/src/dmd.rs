@@ -559,37 +559,32 @@ impl Dmd {
         self.omegas.iter().map(|w| w.re).collect()
     }
 
-    /// Reconstructs snapshots at the given times (seconds, relative to the
-    /// first fitted snapshot): `x(t) = Re Σ φᵢ·exp(ψᵢ t)·aᵢ` (Eq. 6).
-    pub fn reconstruct_at(&self, times: &[f64]) -> Mat {
-        let p = self.modes.rows();
-        let mut out = Mat::zeros(p, times.len());
-        if self.rank() == 0 {
-            return out;
-        }
-        for (jt, &t) in times.iter().enumerate() {
-            let weights: Vec<c64> = self
-                .omegas
-                .iter()
-                .zip(&self.amplitudes)
-                .map(|(&w, &a)| (w * t).exp() * a)
-                .collect();
-            for i in 0..p {
-                let row = self.modes.row(i);
-                let mut acc = c64::ZERO;
-                for (&phi, &w) in row.iter().zip(&weights) {
-                    acc = acc.mul_add(phi, w);
-                }
-                out[(i, jt)] = acc.re;
-            }
-        }
-        out
-    }
-
-    /// Reconstructs `n` uniformly spaced snapshots starting at t = 0.
+    /// Reconstructs `n` uniformly spaced snapshots starting at t = 0:
+    /// `x(t) = Re Σᵢ φᵢ·exp(ψᵢ t)·aᵢ` (Eq. 6), evaluated by the tree's
+    /// node evaluator (`ModeSet::eval_into`).
     pub fn reconstruct(&self, n: usize) -> Mat {
-        let times: Vec<f64> = (0..n).map(|k| k as f64 * self.dt).collect();
-        self.reconstruct_at(&times)
+        let node = crate::mrdmd::ModeSet {
+            level: 1,
+            start: 0,
+            window: n,
+            step: 1,
+            row_offset: 0,
+            modes: self.modes.clone(),
+            lambdas: self.lambdas.clone(),
+            omegas: self.omegas.clone(),
+            amplitudes: self.amplitudes.clone(),
+        };
+        let p = self.modes.rows();
+        let mut out = Mat::zeros(p, n);
+        node.eval_into(
+            (0..n).map(|k| (k, k)),
+            self.dt,
+            1.0,
+            0..p,
+            out.as_mut_slice(),
+            n,
+        );
+        out
     }
 }
 
@@ -884,7 +879,7 @@ mod tests {
                 ..DmdConfig::default()
             },
         );
-        let rec0 = dmd.reconstruct_at(&[0.0]);
+        let rec0 = dmd.reconstruct(1);
         let x0 = data.cols_range(0, 1);
         assert!(rec0.fro_dist(&x0) < 1e-8 * x0.fro_norm().max(1.0));
     }

@@ -299,21 +299,14 @@ impl IMrDmd {
         };
         match state.try_solve_root(t) {
             Ok(solved) => state.adopt_root(solved),
-            Err(e) => {
-                // No previous modes to fall back on at the initial fit: the
-                // root stays empty and is reported degraded from step 0.
-                let cause = e.to_string();
-                state.last_error = Some(cause.clone());
-                state.root_fail_streak = 1;
-                state.root_health = SubtreeHealth::Degraded { since: 0, cause };
-            }
+            // No previous modes to fall back on at the initial fit: the root
+            // stays empty and is reported degraded from step 0.
+            Err(e) => state.root_failed(&e, 0),
         }
         // Residual after the root's slow dynamics, then the usual recursion
         // over the two halves at level 2 — all in place on one buffer.
         let mut residual = data.clone();
-        state
-            .root
-            .subtract_reconstruction(&mut residual, 0, cfg.mr.dt);
+        state.subtract_root(&mut residual, 0, 0);
         let pool = WorkerPool::new(cfg.mr.n_threads);
         fit_halves(
             &mut residual,
@@ -364,34 +357,8 @@ impl IMrDmd {
                 &dmd_cfg,
             ),
         }?;
-        let cutoff = self.cfg.mr.slow_cutoff_hz(window);
-        let slow: Vec<usize> = dmd
-            .frequencies()
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f <= cutoff)
-            .map(|(i, _)| i)
-            .collect();
-        let mut omegas: Vec<hpc_linalg::c64> = slow.iter().map(|&i| dmd.omegas[i]).collect();
-        crate::mrdmd::clamp_growth(
-            &mut omegas,
-            window as f64 * self.cfg.mr.dt,
-            self.cfg.mr.max_window_growth,
-        );
-        Ok((
-            ModeSet {
-                level: 1,
-                start: 0,
-                window,
-                step: self.root_step,
-                row_offset: 0,
-                modes: dmd.modes.select_cols(&slow),
-                lambdas: slow.iter().map(|&i| dmd.lambdas[i]).collect(),
-                omegas,
-                amplitudes: slow.iter().map(|&i| dmd.amplitudes[i]).collect(),
-            },
-            dmd.eig_stats,
-        ))
+        let root = ModeSet::slow(&dmd, &self.cfg.mr, 1, 0, window, self.root_step, 0);
+        Ok((root, dmd.eig_stats))
     }
 
     /// Puts a freshly solved root in service and ends any failure streak.
@@ -401,6 +368,38 @@ impl IMrDmd {
         self.last_eig_restarts = stats.restarts;
         self.root_fail_streak = 0;
         self.root_health = SubtreeHealth::Healthy;
+    }
+
+    /// Records a failed root solve at step `at`. The failure streak grows,
+    /// the onset of the current streak is kept, and after
+    /// [`ROOT_STALE_AFTER`] consecutive failures the root is reported
+    /// `Stale` instead of `Degraded`. The caller keeps the previous modes in
+    /// service.
+    fn root_failed(&mut self, e: &CoreError, at: usize) {
+        self.root_fail_streak += 1;
+        let cause = e.to_string();
+        self.last_error = Some(cause.clone());
+        let since = match &self.root_health {
+            SubtreeHealth::Degraded { since, .. } | SubtreeHealth::Stale { since, .. } => *since,
+            SubtreeHealth::Healthy => at,
+        };
+        self.root_health = if self.root_fail_streak >= ROOT_STALE_AFTER {
+            SubtreeHealth::Stale { since, cause }
+        } else {
+            SubtreeHealth::Degraded { since, cause }
+        };
+    }
+
+    /// The residual step of Eq. 8 against the root: subtracts the root's
+    /// contribution from `residual`, whose column 0 is absolute snapshot
+    /// `abs0` and whose row 0 is global sensor row `row0`. Rows the root
+    /// does not cover are left as they are.
+    fn subtract_root(&self, residual: &mut Mat, abs0: usize, row0: usize) {
+        let (rows, cols) = (row0..row0 + residual.rows(), residual.cols());
+        let at = (0..cols).map(|c| (abs0 + c, c));
+        let dt = self.cfg.mr.dt;
+        self.root
+            .eval_into(at, dt, -1.0, rows, residual.as_mut_slice(), cols);
     }
 
     /// Absorbs a batch of `T₁` new snapshots (columns) and updates the tree
@@ -483,21 +482,7 @@ impl IMrDmd {
                     Ok(solved) => self.adopt_root(solved),
                     Err(e) => {
                         root_failed = true;
-                        self.root_fail_streak += 1;
-                        let cause = e.to_string();
-                        self.last_error = Some(cause.clone());
-                        // Degradation onset is the step of the *first*
-                        // failure of the current streak.
-                        let since = match &self.root_health {
-                            SubtreeHealth::Degraded { since, .. }
-                            | SubtreeHealth::Stale { since, .. } => *since,
-                            SubtreeHealth::Healthy => t_new,
-                        };
-                        self.root_health = if self.root_fail_streak >= ROOT_STALE_AFTER {
-                            SubtreeHealth::Stale { since, cause }
-                        } else {
-                            SubtreeHealth::Degraded { since, cause }
-                        };
+                        self.root_failed(&e, t_new);
                         self.root = old_root.clone();
                         self.root.window = t_new;
                     }
@@ -519,28 +504,21 @@ impl IMrDmd {
 
             // (5) Drift of the root reconstruction over the old timeline:
             // the Frobenius norm of new minus old, evaluated at the
-            // decimated snapshots (cheap: `O(P·r·n_sub)`) into buffers
-            // reused across the scan.
+            // decimated snapshots (cheap: `O(P·r·n_sub)`).
             if let Some(old_root) = &old_root {
-                let dt = self.cfg.mr.dt;
-                let (mut new_w, mut old_w) = (Vec::new(), Vec::new());
-                let (mut new_col, mut old_col) = (Vec::new(), Vec::new());
-                let mut acc = 0.0f64;
-                for k in 0..old_sub_cols {
-                    let abs = k * self.root_step;
-                    self.root
-                        .eval_extrapolated_into(abs, dt, &mut new_w, &mut new_col);
-                    old_root.eval_extrapolated_into(abs, dt, &mut old_w, &mut old_col);
-                    acc += new_col
-                        .iter()
-                        .zip(&old_col)
-                        .map(|(&a, &b)| {
-                            let d = a - b;
-                            d * d
-                        })
-                        .sum::<f64>();
-                }
-                drift = acc.sqrt();
+                let (p, n, dt) = (self.p, old_sub_cols, self.cfg.mr.dt);
+                let at = || (0..n).map(|k| (k * self.root_step, k));
+                let mut diff = vec![0.0; p * n];
+                self.root.eval_into(at(), dt, 1.0, 0..p, &mut diff, n);
+                old_root.eval_into(at(), dt, -1.0, 0..p, &mut diff, n);
+                drift = (0..n)
+                    .map(|k| {
+                        (0..p)
+                            .map(|i| diff[i * n + k] * diff[i * n + k])
+                            .sum::<f64>()
+                    })
+                    .fold(0.0, |acc, col| acc + col)
+                    .sqrt();
             }
             self.drift_log.push(drift);
             if let Some(th) = self.cfg.drift_threshold {
@@ -614,8 +592,7 @@ impl IMrDmd {
             node.level += 1;
         }
         let mut residual = pend;
-        self.root
-            .subtract_reconstruction(&mut residual, start, self.cfg.mr.dt);
+        self.subtract_root(&mut residual, start, 0);
         let before = self.subnodes.len();
         let faults_before = self.faults.len();
         let pool = WorkerPool::new(self.cfg.mr.n_threads);
@@ -866,8 +843,7 @@ impl IMrDmd {
             .expect("refresh_subtrees requires keep_history");
         let t = self.t_total;
         let mut residual = data.clone();
-        self.root
-            .subtract_reconstruction(&mut residual, 0, self.cfg.mr.dt);
+        self.subtract_root(&mut residual, 0, 0);
         let mr = self.cfg.mr;
         let mut fresh: Vec<ModeSet> = Vec::new();
         let mut fresh_faults: Vec<FitFault> = Vec::new();
@@ -966,18 +942,10 @@ impl IMrDmd {
         // Root modes now cover all rows.
         match self.try_solve_root(self.t_total) {
             Ok(solved) => self.adopt_root(solved),
-            Err(e) => {
-                // The previous root (covering only the old rows) stays in
-                // service; the appended rows get no root contribution until
-                // a solve succeeds.
-                self.root_fail_streak += 1;
-                let cause = e.to_string();
-                self.last_error = Some(cause.clone());
-                self.root_health = SubtreeHealth::Degraded {
-                    since: self.t_total,
-                    cause,
-                };
-            }
+            // The previous root (covering only the old rows) stays in
+            // service; the appended rows get no root contribution until a
+            // solve succeeds.
+            Err(e) => self.root_failed(&e, self.t_total),
         }
         // Dedicated subtree for the new sensors' residual dynamics — over
         // the already-fitted timeline only: the pending tail stays deferred
@@ -985,15 +953,7 @@ impl IMrDmd {
         // covers it never overlaps this subtree.
         let t_cov = self.t_total - self.pending.cols();
         let mut residual = new_rows.cols_range(0, t_cov);
-        {
-            // Subtract the root's contribution on the appended rows only.
-            let root_rows = ModeSet {
-                modes: self.root.modes.rows_range(p_old, self.p),
-                row_offset: 0,
-                ..self.root.clone()
-            };
-            root_rows.subtract_reconstruction(&mut residual, 0, self.cfg.mr.dt);
-        }
+        self.subtract_root(&mut residual, 0, p_old);
         {
             let faults_before = self.faults.len();
             let pool = WorkerPool::new(self.cfg.mr.n_threads);
@@ -1034,23 +994,11 @@ impl IMrDmd {
     /// finest captured timescale; growth clamping keeps the extrapolation
     /// bounded regardless.
     pub fn forecast(&self, horizon: usize) -> Mat {
+        let (t, dt) = (self.t_total, self.cfg.mr.dt);
         let mut out = Mat::zeros(self.p, horizon);
-        let dt = self.cfg.mr.dt;
-        let edge_nodes: Vec<&ModeSet> = self
-            .nodes()
-            .filter(|n| n.start + n.window == self.t_total)
-            .collect();
-        for node in &edge_nodes {
-            for h in 0..horizon {
-                let abs = self.t_total + h;
-                let vals = node.eval_extrapolated(abs, dt);
-                for (i, v) in vals.iter().enumerate() {
-                    let row = node.row_offset + i;
-                    if row < self.p {
-                        out[(row, h)] += v;
-                    }
-                }
-            }
+        for node in self.nodes().filter(|n| n.start + n.window == t) {
+            let at = (0..horizon).map(|h| (t + h, h));
+            node.eval_into(at, dt, 1.0, 0..self.p, out.as_mut_slice(), horizon);
         }
         out
     }
@@ -1069,7 +1017,7 @@ impl IMrDmd {
 
 /// True when the `n_new == 0` drift scan may be skipped outright: extending
 /// the root window rewrites only `ModeSet::window`, which
-/// [`ModeSet::eval_extrapolated`] ignores, so the scan subtracts each
+/// [`ModeSet::eval_into`] ignores, so the scan subtracts each
 /// reconstruction column from a bitwise-identical copy of itself — every term
 /// is `x − x`, which is exactly `+0.0` whenever `x` is finite, and the
 /// accumulated drift is exactly `+0.0`. The guard proves every intermediate

@@ -15,6 +15,7 @@ use crate::health::FitFault;
 use hpc_linalg::pool::WorkerPool;
 use hpc_linalg::{c64, CMat, Mat};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Minimum residual-buffer size (`rows × cols` elements) of a subtree before
 /// the recursion forks it onto another worker. Mirrors the role of
@@ -69,20 +70,6 @@ impl Default for MrDmdConfig {
             max_window_growth: 1e3,
             n_threads: 0,
             strategy: FitStrategy::Exact,
-        }
-    }
-}
-
-/// Clamps each mode's growth rate so its envelope gains at most
-/// `max_window_growth` over a window of `window_secs` seconds.
-pub(crate) fn clamp_growth(omegas: &mut [c64], window_secs: f64, max_window_growth: f64) {
-    if window_secs <= 0.0 || !max_window_growth.is_finite() {
-        return;
-    }
-    let max_re = max_window_growth.ln() / window_secs;
-    for w in omegas {
-        if w.re > max_re {
-            *w = c64::new(max_re, w.im);
         }
     }
 }
@@ -270,72 +257,97 @@ impl ModeSet {
             .collect()
     }
 
-    /// Adds this node's reconstruction to `out`, where column `c` of `out`
-    /// holds absolute snapshot `out_start + c`. Only the overlap of the
-    /// node's window with `out` is touched.
-    pub fn add_reconstruction(&self, out: &mut Mat, out_start: usize, dt: f64) {
-        self.apply_reconstruction(out, out_start, dt, 1.0);
+    /// The node one DMD fit contributes to the tree: the modes oscillating
+    /// at most `max_cycles` times per window (Sec. III-A), in fit order,
+    /// each growth rate clamped so its envelope gains at most
+    /// `max_window_growth` over the window. Residuals at deep levels are
+    /// tiny, and an unclamped spurious `|λ| ≫ 1` would overwhelm its
+    /// near-zero amplitude exponentially.
+    pub(crate) fn slow(
+        dmd: &Dmd,
+        cfg: &MrDmdConfig,
+        level: usize,
+        start: usize,
+        window: usize,
+        step: usize,
+        row_offset: usize,
+    ) -> ModeSet {
+        let cutoff = cfg.slow_cutoff_hz(window);
+        let freqs = dmd.frequencies();
+        let keep: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] <= cutoff).collect();
+        let window_secs = window as f64 * cfg.dt;
+        let clamp = window_secs > 0.0 && cfg.max_window_growth.is_finite();
+        let max_re = cfg.max_window_growth.ln() / window_secs;
+        ModeSet {
+            level,
+            start,
+            window,
+            step,
+            row_offset,
+            modes: dmd.modes.select_cols(&keep),
+            lambdas: keep.iter().map(|&i| dmd.lambdas[i]).collect(),
+            omegas: keep
+                .iter()
+                .map(|&i| {
+                    let w = dmd.omegas[i];
+                    if clamp && w.re > max_re {
+                        c64::new(max_re, w.im)
+                    } else {
+                        w
+                    }
+                })
+                .collect(),
+            amplitudes: keep.iter().map(|&i| dmd.amplitudes[i]).collect(),
+        }
     }
 
-    /// Subtracts this node's reconstruction from `out` (the residual step of
-    /// the multiresolution recursion, done in place to avoid copying the
-    /// window).
-    pub fn subtract_reconstruction(&self, out: &mut Mat, out_start: usize, dt: f64) {
-        self.apply_reconstruction(out, out_start, dt, -1.0);
-    }
-
-    fn apply_reconstruction(&self, out: &mut Mat, out_start: usize, dt: f64, sign: f64) {
-        let (rows, cols) = (out.rows(), out.cols());
-        self.apply_reconstruction_rows(out.as_mut_slice(), 0, rows, cols, out_start, dt, sign);
-    }
-
-    /// Same as [`apply_reconstruction`](Self::apply_reconstruction) but
-    /// restricted to a row block: `block` holds global output rows
-    /// `[grow0, grow1)` in row-major order with `out_cols` columns. Disjoint
-    /// row blocks can be filled concurrently; every element receives exactly
-    /// the additions (in the same order) it would in a whole-matrix pass, so
-    /// any row chunking produces bitwise-identical output.
-    #[allow(clippy::too_many_arguments)] // a flat (range, geometry) tuple is clearest here
-    pub(crate) fn apply_reconstruction_rows(
+    /// Eq. 6 for this node — the one evaluator behind reconstruction
+    /// (Eq. 7), the residual step of the recursion (Eq. 8), forecasting and
+    /// the drift scan. For each `(abs, col)` in `cols` it builds the mode
+    /// weights `e^{ω·t}·b` at `t = (abs − start)·dt` once, then adds
+    /// `sign · Re Σⱼ φᵢⱼ·wⱼ` to column `col` of every row of `out` the node
+    /// covers. `out` is row-major with `stride` columns and holds the
+    /// global sensor rows `rows`.
+    ///
+    /// Nothing is clipped to the node's window: each caller chooses its
+    /// snapshots (a forecast extrapolates past the window on purpose). Each
+    /// element gets one addition per call, its modes summed in order through
+    /// `c64::mul_add`, so evaluating the nodes in a fixed order gives the same
+    /// bits however `out` is split into row blocks.
+    pub(crate) fn eval_into(
         &self,
-        block: &mut [f64],
-        grow0: usize,
-        grow1: usize,
-        out_cols: usize,
-        out_start: usize,
+        cols: impl IntoIterator<Item = (usize, usize)>,
         dt: f64,
         sign: f64,
+        rows: Range<usize>,
+        out: &mut [f64],
+        stride: usize,
     ) {
-        if self.n_modes() == 0 {
+        // Node-local rows whose global row (`row_offset + i`) is in `rows`.
+        let i0 = rows.start.saturating_sub(self.row_offset);
+        let i1 = self
+            .modes
+            .rows()
+            .min(rows.end.saturating_sub(self.row_offset));
+        if self.n_modes() == 0 || i0 >= i1 {
             return;
         }
-        let node_end = self.start + self.window;
-        let out_end = out_start + out_cols;
-        let lo = self.start.max(out_start);
-        let hi = node_end.min(out_end);
-        if lo >= hi {
-            return;
-        }
-        // Node-local rows whose global row (`row_offset + i`) falls in the block.
-        let i0 = grow0.saturating_sub(self.row_offset);
-        let i1 = self.modes.rows().min(grow1.saturating_sub(self.row_offset));
-        if i0 >= i1 {
-            return;
-        }
-        let mut weights = vec![c64::ZERO; self.n_modes()];
-        for abs in lo..hi {
-            let t_rel = (abs - self.start) as f64 * dt;
-            for ((wgt, &w), &a) in weights.iter_mut().zip(&self.omegas).zip(&self.amplitudes) {
-                *wgt = (w * t_rel).exp() * a;
-            }
-            let col = abs - out_start;
+        let mut weights = Vec::new();
+        for (abs, col) in cols {
+            let t = (abs as f64 - self.start as f64) * dt;
+            weights.clear();
+            weights.extend(
+                self.omegas
+                    .iter()
+                    .zip(&self.amplitudes)
+                    .map(|(&w, &b)| (w * t).exp() * b),
+            );
             for i in i0..i1 {
-                let row = self.modes.row(i);
                 let mut acc = c64::ZERO;
-                for (&phi, &w) in row.iter().zip(&weights) {
+                for (&phi, &w) in self.modes.row(i).iter().zip(&weights) {
                     acc = acc.mul_add(phi, w);
                 }
-                block[(self.row_offset + i - grow0) * out_cols + col] += sign * acc.re;
+                out[(self.row_offset + i - rows.start) * stride + col] += sign * acc.re;
             }
         }
     }
@@ -368,48 +380,6 @@ impl ModeSet {
     /// Total mode power of this node.
     pub fn total_power(&self) -> f64 {
         self.powers().iter().sum()
-    }
-
-    /// Evaluates this node's contribution at an arbitrary absolute snapshot,
-    /// **without clipping to the window** — extrapolation for forecasting.
-    /// Returns one value per mode-local row.
-    pub fn eval_extrapolated(&self, abs: usize, dt: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.eval_extrapolated_into(abs, dt, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// [`Self::eval_extrapolated`] into caller-owned buffers (the mode
-    /// weights and the output), so a scan over many snapshots allocates
-    /// once.
-    pub(crate) fn eval_extrapolated_into(
-        &self,
-        abs: usize,
-        dt: f64,
-        weights: &mut Vec<c64>,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(self.modes.rows(), 0.0);
-        if self.n_modes() == 0 || abs < self.start {
-            return;
-        }
-        let t_rel = (abs - self.start) as f64 * dt;
-        weights.clear();
-        weights.extend(
-            self.omegas
-                .iter()
-                .zip(&self.amplitudes)
-                .map(|(&w, &a)| (w * t_rel).exp() * a),
-        );
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = self.modes.row(i);
-            let mut acc = c64::ZERO;
-            for (&phi, &w) in row.iter().zip(weights.iter()) {
-                acc = acc.mul_add(phi, w);
-            }
-            *o = acc.re;
-        }
     }
 }
 
@@ -577,9 +547,17 @@ pub(crate) fn reconstruct_nodes(
         .map(|(ci, s)| (ci * chunk_rows, s))
         .collect();
     pool.for_each(&mut blocks, &|(grow0, block)| {
-        let rows_here = block.len() / width;
+        let rows = *grow0..*grow0 + block.len() / width;
         for node in nodes {
-            node.apply_reconstruction_rows(block, *grow0, *grow0 + rows_here, width, t0, dt, 1.0);
+            let cols = node.start.max(t0)..(node.start + node.window).min(t1);
+            node.eval_into(
+                cols.map(|abs| (abs, abs - t0)),
+                dt,
+                1.0,
+                rows.clone(),
+                block,
+                width,
+            );
         }
     });
     out
@@ -626,34 +604,14 @@ pub(crate) fn fit_tree(
         };
         match Dmd::try_fit(&sub, &dmd_cfg) {
             Ok(dmd) => {
-                let cutoff = cfg.slow_cutoff_hz(w);
-                let slow_idx: Vec<usize> = dmd
-                    .frequencies()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &f)| f <= cutoff)
-                    .map(|(i, _)| i)
-                    .collect();
-                if !slow_idx.is_empty() {
-                    let mut omegas: Vec<c64> = slow_idx.iter().map(|&i| dmd.omegas[i]).collect();
-                    clamp_growth(&mut omegas, w as f64 * cfg.dt, cfg.max_window_growth);
-                    let mut node = ModeSet {
-                        level,
-                        start: start_abs,
-                        window: w,
-                        step,
-                        // The work buffer is row-local; subtract at offset 0 and
-                        // attach the global offset afterwards.
-                        row_offset: 0,
-                        modes: dmd.modes.select_cols(&slow_idx),
-                        lambdas: slow_idx.iter().map(|&i| dmd.lambdas[i]).collect(),
-                        omegas,
-                        amplitudes: slow_idx.iter().map(|&i| dmd.amplitudes[i]).collect(),
-                    };
-                    // Subtract the slow reconstruction at full resolution before
-                    // recursing (Eq. 8, second term) — in place on the shared buffer.
-                    node.subtract_reconstruction(work, buf_abs0, cfg.dt);
-                    node.row_offset = row_offset;
+                let node = ModeSet::slow(&dmd, cfg, level, start_abs, w, step, row_offset);
+                if node.n_modes() > 0 {
+                    // Subtract the slow reconstruction at full resolution
+                    // before recursing (Eq. 8, second term) — in place on
+                    // the shared buffer.
+                    let (rows, stride) = (row_offset..row_offset + work.rows(), work.cols());
+                    let cols = (lo..hi).map(|c| (buf_abs0 + c, c));
+                    node.eval_into(cols, cfg.dt, -1.0, rows, work.as_mut_slice(), stride);
                     nodes.push(node);
                 }
             }

@@ -198,6 +198,56 @@ fn root_health_walks_degraded_to_stale_and_recovers() {
     assert!(model.health().root.is_healthy());
 }
 
+/// A failed root re-solve inside `add_series` keeps the previous root (old
+/// rows only) in service instead of panicking, and takes the same health
+/// transition as a failed round: a new streak starts `Degraded` at the
+/// current step, a running one keeps its onset and stays `Stale`.
+#[test]
+fn add_series_survives_a_failed_root_solve() {
+    let _g = FailpointGuard::acquire();
+    let mut model = IMrDmd::fit(&signal(8, 512), &cfg(1));
+    failpoint::arm_eig_nonconvergence(1);
+    model.add_series(&signal(2, 512));
+    failpoint::disarm_all();
+    assert_eq!(model.n_rows(), 10);
+    assert_eq!(
+        model.root().modes.rows(),
+        8,
+        "the old root stays in service"
+    );
+    match model.root_health() {
+        SubtreeHealth::Degraded { since, .. } => assert_eq!(*since, 512),
+        h => panic!("expected a degraded root, got {h:?}"),
+    }
+    assert!(model.health().last_error.is_some());
+    assert!(model.reconstruct().as_slice().iter().all(|v| v.is_finite()));
+    model.partial_fit(&signal(10, 576).cols_range(512, 576));
+    assert!(
+        model.root_health().is_healthy(),
+        "{:?}",
+        model.root_health()
+    );
+    assert_eq!(model.root().modes.rows(), 10);
+
+    // A stale root stays stale, with its onset, when add_series fails too.
+    let data = signal(8, 704);
+    let mut model = IMrDmd::fit(&data.cols_range(0, 512), &cfg(1));
+    failpoint::arm_eig_nonconvergence(usize::MAX);
+    for lo in [512, 576, 640] {
+        model.partial_fit(&data.cols_range(lo, lo + 64));
+    }
+    let onset = match model.root_health() {
+        SubtreeHealth::Stale { since, .. } => *since,
+        h => panic!("expected a stale root, got {h:?}"),
+    };
+    model.add_series(&signal(2, 704));
+    failpoint::disarm_all();
+    match model.root_health() {
+        SubtreeHealth::Stale { since, .. } => assert_eq!(*since, onset),
+        h => panic!("add_series must keep the stale root and its onset, got {h:?}"),
+    }
+}
+
 /// Kill-and-resume: a checkpoint taken while degraded restores the entire
 /// model — health state included — bitwise.
 #[test]
