@@ -3,6 +3,7 @@
 use crate::CliError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -224,6 +225,60 @@ pub const USAGE: &str = "usage: imrdmd-cli <synth|fit|update|analyze|render|info
 /// Flags that take no value: their presence means `true`.
 const BOOL_FLAGS: &[&str] = &["resume"];
 
+/// The `--flag value` pairs of one invocation. Every getter takes its flag
+/// out, so whatever is left once the command is built is a flag the
+/// subcommand does not read.
+struct Flags(BTreeMap<String, String>);
+
+fn missing(name: &str) -> CliError {
+    CliError(format!("missing required --{name}\n{USAGE}"))
+}
+
+impl Flags {
+    fn take(&mut self, name: &str) -> Option<String> {
+        self.0.remove(name)
+    }
+
+    fn req(&mut self, name: &str) -> Result<String, CliError> {
+        self.take(name).ok_or_else(|| missing(name))
+    }
+
+    fn path(&mut self, name: &str) -> Option<PathBuf> {
+        self.take(name).map(PathBuf::from)
+    }
+
+    fn text_or(&mut self, name: &str, default: &str) -> String {
+        self.take(name).unwrap_or_else(|| default.to_string())
+    }
+
+    /// `--name` parsed as `T`, if given; `kind` names the expected value in
+    /// the error ("an integer", "a number").
+    fn parsed<T: FromStr>(&mut self, name: &str, kind: &str) -> Result<Option<T>, CliError> {
+        self.take(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError(format!("--{name} must be {kind}")))
+            })
+            .transpose()
+    }
+
+    fn int<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, CliError> {
+        self.parsed(name, "an integer")
+    }
+
+    fn num(&mut self, name: &str) -> Result<Option<f64>, CliError> {
+        self.parsed(name, "a number")
+    }
+
+    fn req_int<T: FromStr>(&mut self, name: &str) -> Result<T, CliError> {
+        self.int(name)?.ok_or_else(|| missing(name))
+    }
+
+    fn req_num(&mut self, name: &str) -> Result<f64, CliError> {
+        self.num(name)?.ok_or_else(|| missing(name))
+    }
+}
+
 /// Parses an argv slice (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(cmd) = args.first() else {
@@ -252,258 +307,110 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .into(),
         ));
     }
-    let get = |name: &str| -> Result<String, CliError> {
-        flags
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CliError(format!("missing required --{name}\n{USAGE}")))
+    let f = &mut Flags(flags);
+    let command = match cmd.as_str() {
+        "synth" => Command::Synth {
+            nodes: f.req_int("nodes")?,
+            steps: f.req_int("steps")?,
+            seed: f.int("seed")?.unwrap_or(42),
+            out: f.req("out")?.into(),
+        },
+        "fit" => Command::Fit {
+            input: f.req("input")?.into(),
+            dt: f.req_num("dt")?,
+            levels: f.int("levels")?.unwrap_or(6),
+            max_cycles: f.int("max-cycles")?.unwrap_or(2),
+            threads: f.int("threads")?.unwrap_or(0),
+            fit_strategy: f.text_or("fit-strategy", "exact"),
+            sketch_seed: f.int("sketch-seed")?,
+            model: f.req("model")?.into(),
+        },
+        "update" => Command::Update {
+            model: f.req("model")?.into(),
+            input: f.req("input")?.into(),
+            model_out: f.path("model-out"),
+            threads: f.int("threads")?,
+        },
+        "analyze" => Command::Analyze {
+            model: f.req("model")?.into(),
+            input: f.req("input")?.into(),
+            band_lo: f.num("band-lo")?,
+            band_hi: f.num("band-hi")?,
+        },
+        "render" => Command::Render {
+            model: f.req("model")?.into(),
+            input: f.req("input")?.into(),
+            layout: f.req("layout")?,
+            out: f.req("out")?.into(),
+        },
+        "info" => Command::Info {
+            model: f.req("model")?.into(),
+        },
+        "health" => Command::Health {
+            model: f.req("model")?.into(),
+        },
+        "stream" => Command::Stream {
+            input: f.req("input")?.into(),
+            dt: f.req_num("dt")?,
+            chunk: f.int("chunk")?.unwrap_or(64),
+            levels: f.int("levels")?.unwrap_or(6),
+            threads: f.int("threads")?.unwrap_or(0),
+            gap_policy: f.text_or("gap-policy", "reject"),
+            fit_strategy: f.text_or("fit-strategy", "exact"),
+            sketch_seed: f.int("sketch-seed")?,
+            store_dir: f.path("store-dir"),
+            checkpoint_every: f.int("checkpoint-every")?.unwrap_or(1),
+            resume: f.take("resume").is_some(),
+            metrics_every: f.int("metrics-every")?.unwrap_or(0),
+            model: f.req("model")?.into(),
+        },
+        "serve" => Command::Serve {
+            addr: f.req("addr")?,
+            dt: f.req_num("dt")?,
+            levels: f.int("levels")?.unwrap_or(6),
+            threads: f.int("threads")?.unwrap_or(0),
+            gap_policy: f.text_or("gap-policy", "interpolate"),
+            fit_strategy: f.text_or("fit-strategy", "exact"),
+            sketch_seed: f.int("sketch-seed")?,
+            store_dir: f.path("store-dir"),
+            checkpoint_every: f.int("checkpoint-every")?.unwrap_or(1),
+            keep_checkpoints: f.int("keep-checkpoints")?.unwrap_or(3),
+            durability: f.text_or("durability", "interval"),
+            max_body_mb: f.int("max-body-mb")?.unwrap_or(32),
+            max_tenants: f.int("max-tenants")?.unwrap_or(4096),
+            max_inflight: f.int("max-inflight")?.unwrap_or(256),
+        },
+        "metrics" => Command::Metrics {
+            input: f.req("input")?.into(),
+            dt: f.req_num("dt")?,
+            levels: f.int("levels")?.unwrap_or(6),
+            chunk: f.int("chunk")?.unwrap_or(64),
+            fit_strategy: f.text_or("fit-strategy", "exact"),
+            sketch_seed: f.int("sketch-seed")?,
+            format: f.text_or("format", "json"),
+        },
+        "archive" => Command::Archive {
+            model: f.req("model")?.into(),
+            tier: f.text_or("tier", "q16"),
+            out: f.path("out"),
+            store_dir: f.path("store-dir"),
+        },
+        "replay" => Command::Replay {
+            archive: f.path("archive"),
+            store_dir: f.path("store-dir"),
+            from: f.int("from")?,
+            to: f.int("to")?,
+            out: f.path("out"),
+        },
+        other => return Err(CliError(format!("unknown subcommand `{other}`\n{USAGE}"))),
     };
-    let num = |name: &str| -> Result<f64, CliError> {
-        get(name)?
-            .parse()
-            .map_err(|_| CliError(format!("--{name} must be a number")))
-    };
-    let int = |name: &str| -> Result<usize, CliError> {
-        get(name)?
-            .parse()
-            .map_err(|_| CliError(format!("--{name} must be an integer")))
-    };
-    let opt_num = |name: &str| -> Result<Option<f64>, CliError> {
-        flags
-            .get(name)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| CliError(format!("--{name} must be a number")))
-            })
-            .transpose()
-    };
-    let opt_int = |name: &str| -> Result<Option<usize>, CliError> {
-        flags
-            .get(name)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| CliError(format!("--{name} must be an integer")))
-            })
-            .transpose()
-    };
-    let strategy = || {
-        flags
-            .get("fit-strategy")
-            .cloned()
-            .unwrap_or_else(|| "exact".to_string())
-    };
-    let sketch_seed = || -> Result<Option<u64>, CliError> {
-        flags
-            .get("sketch-seed")
-            .map(|v| v.parse())
-            .transpose()
-            .map_err(|_| CliError("--sketch-seed must be an integer".into()))
-    };
-    match cmd.as_str() {
-        "synth" => Ok(Command::Synth {
-            nodes: int("nodes")?,
-            steps: int("steps")?,
-            seed: flags
-                .get("seed")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--seed must be an integer".into()))?
-                .unwrap_or(42),
-            out: get("out")?.into(),
-        }),
-        "fit" => Ok(Command::Fit {
-            input: get("input")?.into(),
-            dt: num("dt")?,
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            max_cycles: flags
-                .get("max-cycles")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-cycles must be an integer".into()))?
-                .unwrap_or(2),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?
-                .unwrap_or(0),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            model: get("model")?.into(),
-        }),
-        "update" => Ok(Command::Update {
-            model: get("model")?.into(),
-            input: get("input")?.into(),
-            model_out: flags.get("model-out").map(PathBuf::from),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?,
-        }),
-        "analyze" => Ok(Command::Analyze {
-            model: get("model")?.into(),
-            input: get("input")?.into(),
-            band_lo: opt_num("band-lo")?,
-            band_hi: opt_num("band-hi")?,
-        }),
-        "render" => Ok(Command::Render {
-            model: get("model")?.into(),
-            input: get("input")?.into(),
-            layout: get("layout")?,
-            out: get("out")?.into(),
-        }),
-        "info" => Ok(Command::Info {
-            model: get("model")?.into(),
-        }),
-        "health" => Ok(Command::Health {
-            model: get("model")?.into(),
-        }),
-        "stream" => Ok(Command::Stream {
-            input: get("input")?.into(),
-            dt: num("dt")?,
-            chunk: flags
-                .get("chunk")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--chunk must be an integer".into()))?
-                .unwrap_or(64),
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?
-                .unwrap_or(0),
-            gap_policy: flags
-                .get("gap-policy")
-                .cloned()
-                .unwrap_or_else(|| "reject".to_string()),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-            checkpoint_every: flags
-                .get("checkpoint-every")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--checkpoint-every must be an integer".into()))?
-                .unwrap_or(1),
-            resume: flags.contains_key("resume"),
-            metrics_every: flags
-                .get("metrics-every")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--metrics-every must be an integer".into()))?
-                .unwrap_or(0),
-            model: get("model")?.into(),
-        }),
-        "serve" => Ok(Command::Serve {
-            addr: get("addr")?,
-            dt: num("dt")?,
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            threads: flags
-                .get("threads")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--threads must be an integer".into()))?
-                .unwrap_or(0),
-            gap_policy: flags
-                .get("gap-policy")
-                .cloned()
-                .unwrap_or_else(|| "interpolate".to_string()),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-            checkpoint_every: flags
-                .get("checkpoint-every")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--checkpoint-every must be an integer".into()))?
-                .unwrap_or(1),
-            keep_checkpoints: flags
-                .get("keep-checkpoints")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--keep-checkpoints must be an integer".into()))?
-                .unwrap_or(3),
-            durability: flags
-                .get("durability")
-                .cloned()
-                .unwrap_or_else(|| "interval".to_string()),
-            max_body_mb: flags
-                .get("max-body-mb")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-body-mb must be an integer".into()))?
-                .unwrap_or(32),
-            max_tenants: flags
-                .get("max-tenants")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-tenants must be an integer".into()))?
-                .unwrap_or(4096),
-            max_inflight: flags
-                .get("max-inflight")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--max-inflight must be an integer".into()))?
-                .unwrap_or(256),
-        }),
-        "metrics" => Ok(Command::Metrics {
-            input: get("input")?.into(),
-            dt: num("dt")?,
-            levels: flags
-                .get("levels")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--levels must be an integer".into()))?
-                .unwrap_or(6),
-            chunk: flags
-                .get("chunk")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError("--chunk must be an integer".into()))?
-                .unwrap_or(64),
-            fit_strategy: strategy(),
-            sketch_seed: sketch_seed()?,
-            format: flags
-                .get("format")
-                .cloned()
-                .unwrap_or_else(|| "json".to_string()),
-        }),
-        "archive" => Ok(Command::Archive {
-            model: get("model")?.into(),
-            tier: flags
-                .get("tier")
-                .cloned()
-                .unwrap_or_else(|| "q16".to_string()),
-            out: flags.get("out").map(PathBuf::from),
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-        }),
-        "replay" => Ok(Command::Replay {
-            archive: flags.get("archive").map(PathBuf::from),
-            store_dir: flags.get("store-dir").map(PathBuf::from),
-            from: opt_int("from")?,
-            to: opt_int("to")?,
-            out: flags.get("out").map(PathBuf::from),
-        }),
-        other => Err(CliError(format!("unknown subcommand `{other}`\n{USAGE}"))),
+    // A misspelt flag would otherwise fall back to its default unnoticed.
+    if let Some(name) = f.0.keys().next() {
+        return Err(CliError(format!(
+            "unknown flag --{name} for `{cmd}`\n{USAGE}"
+        )));
     }
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -870,6 +777,33 @@ mod tests {
             let err = parse_args(&argv(cmd)).unwrap_err();
             assert!(err.0.contains("--store-dir"), "{err}");
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        for (cmd, flag) in [
+            (
+                "stream --input s.csv --dt 20 --model m.json --chunks 50 --chekpoint-every 3",
+                "--chekpoint-every",
+            ),
+            (
+                "fit --input a.csv --dt 20 --model m.json --resume",
+                "--resume",
+            ),
+            ("info --model m.json --tier f64", "--tier"),
+        ] {
+            let err = parse_args(&argv(cmd)).unwrap_err();
+            assert!(
+                err.0.contains(&format!("unknown flag {flag} ")),
+                "{cmd}: {err}"
+            );
+        }
+        // Every flag the benchmark daemon passes is read by `serve`.
+        let c = parse_args(&argv(
+            "serve --addr 127.0.0.1:0 --dt 20 --levels 4 --gap-policy interpolate \
+             --durability interval --checkpoint-every 32 --store-dir store",
+        ));
+        assert!(matches!(c, Ok(Command::Serve { .. })), "{c:?}");
     }
 
     #[test]

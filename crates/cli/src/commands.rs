@@ -337,6 +337,12 @@ fn fit(o: FitOpts<'_>) -> Result<String, CliError> {
         return Err(CliError("--dt must be positive".into()));
     }
     let data = load_csv(o.input)?;
+    if data.cols() < 2 {
+        return Err(CliError(format!(
+            "fit needs at least two snapshots, got {}",
+            data.cols()
+        )));
+    }
     let strategy = parse_fit_strategy(o.fit_strategy, o.sketch_seed)?;
     let cfg = stream_config(o.dt, o.levels, o.max_cycles, o.threads, strategy)?;
     let model = IMrDmd::fit(&data, &cfg);
@@ -561,6 +567,12 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
         match &mut model {
             None => {
                 // First chunk: repair it stand-alone, then cold-start.
+                if batch.cols() < 2 {
+                    return Err(CliError(format!(
+                        "cold start needs at least two snapshots, got {}",
+                        batch.cols()
+                    )));
+                }
                 let (clean, rep) = guard.repair(&batch)?;
                 repairs.merge(&rep);
                 let cfg = stream_config(o.dt, o.levels, 2, o.threads, strategy)?;
@@ -1213,6 +1225,26 @@ mod tests {
         let err = run(&parse_args(&argv("stream --input a.csv --dt 0 --model m.json")).unwrap())
             .unwrap_err();
         assert!(err.0.contains("--dt must be positive"), "{err}");
+    }
+
+    #[test]
+    fn one_snapshot_csv_is_a_clean_error() {
+        let csv = tmp("one_snapshot.csv");
+        let one = hpc_linalg::Mat::from_fn(4, 1, |i, _| i as f64);
+        write_snapshots_csv(&mut fs::File::create(&csv).unwrap(), &one, 0).unwrap();
+        for (cmd, want) in [
+            ("fit", "fit needs at least two snapshots, got 1"),
+            ("stream", "cold start needs at least two snapshots, got 1"),
+        ] {
+            let model = tmp(&format!("one_snapshot_{cmd}.json"));
+            let line = format!(
+                "{cmd} --input {} --dt 20 --model {}",
+                csv.display(),
+                model.display()
+            );
+            let err = run(&parse_args(&argv(&line)).unwrap()).unwrap_err();
+            assert!(err.0.contains(want), "{cmd}: {err}");
+        }
     }
 
     #[test]
