@@ -260,9 +260,7 @@ impl ModeSet {
     /// The node one DMD fit contributes to the tree: the modes oscillating
     /// at most `max_cycles` times per window (Sec. III-A), in fit order,
     /// each growth rate clamped so its envelope gains at most
-    /// `max_window_growth` over the window. Residuals at deep levels are
-    /// tiny, and an unclamped spurious `|λ| ≫ 1` would overwhelm its
-    /// near-zero amplitude exponentially.
+    /// `max_window_growth` over the window.
     pub(crate) fn slow(
         dmd: &Dmd,
         cfg: &MrDmdConfig,
