@@ -1,8 +1,11 @@
 //! `archive_bench` — compression/fidelity sweep of the mode archive: fits
 //! one model over a synthetic fleet trace, writes it at every quantization
 //! tier, and reports archive size versus the raw snapshot matrix, write and
-//! replay throughput, and reconstruction error per tier. Writes
-//! `BENCH_archive.json` and exits nonzero if
+//! replay throughput, and reconstruction error per tier. A full replay is
+//! split into its two layers: `decode_ms` reads, checks and decodes every
+//! node block (`ArchiveReader::read_nodes`), and `reconstruct_ms` is the
+//! rest of the replay, the Eq. 7 sum. Replay and decode times are medians
+//! of `REPS` runs. Writes `BENCH_archive.json` and exits nonzero if
 //!
 //! * the q16 ratio falls below `ARCHIVE_BENCH_MIN_RATIO` (default 50),
 //! * any lossy tier exceeds its advertised relative-error bound, or
@@ -15,8 +18,9 @@
 use std::time::Instant;
 
 use hpc_telemetry::{theta, MachineSpec, Scenario};
-use imrdmd::archive::{write_archive, ArchiveReader, QuantTier};
+use imrdmd::archive::{write_archive, ArchiveError, ArchiveReader, QuantTier};
 use imrdmd::{IMrDmd, IMrDmdConfig, MrDmdConfig, RankSelection};
+use mrdmd_bench::median;
 
 // A long timeline is the point: tree size scales with depth (capped), not
 // with steps, so the mode archive's ratio grows linearly in the timeline —
@@ -24,6 +28,8 @@ use imrdmd::{IMrDmd, IMrDmdConfig, MrDmdConfig, RankSelection};
 const N_NODES: usize = 64;
 const N_STEPS: usize = 65_536;
 const SEED: u64 = 4242;
+/// Timed runs per replay and decode figure; each figure is their median.
+const REPS: usize = 3;
 
 struct TierResult {
     tier: QuantTier,
@@ -31,6 +37,8 @@ struct TierResult {
     ratio: f64,
     write_ms: f64,
     replay_ms: f64,
+    decode_ms: f64,
+    reconstruct_ms: f64,
     replay_mb_s: f64,
     rel_err: f64,
     bitwise: bool,
@@ -110,15 +118,31 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let replay_start = Instant::now();
-        let approx = match reader.replay_all() {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("archive_bench: replay at tier {tier} failed: {e}");
-                std::process::exit(2);
-            }
+        let fail = |what: &str, e: ArchiveError| -> ! {
+            eprintln!("archive_bench: {what} at tier {tier} failed: {e}");
+            std::process::exit(2);
         };
-        let replay_s = replay_start.elapsed().as_secs_f64();
+        let mut decode_ms = Vec::with_capacity(REPS);
+        let mut replay_ms = Vec::with_capacity(REPS);
+        let mut approx = None;
+        for _ in 0..REPS {
+            let start = Instant::now();
+            if let Err(e) = reader.read_nodes(0, N_STEPS) {
+                fail("decode", e);
+            }
+            decode_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            let start = Instant::now();
+            match reader.replay_all() {
+                Ok(m) => approx = Some(m),
+                Err(e) => fail("replay", e),
+            }
+            replay_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+        let Some(approx) = approx else {
+            eprintln!("archive_bench: no replay ran");
+            std::process::exit(2);
+        };
+        let (decode_ms, replay_ms) = (median(&mut decode_ms), median(&mut replay_ms));
         let full_blocks = reader.blocks_read();
 
         let rel_err = exact
@@ -142,8 +166,10 @@ fn main() {
             bytes: info.bytes,
             ratio: raw_bytes as f64 / info.bytes as f64,
             write_ms,
-            replay_ms: replay_s * 1e3,
-            replay_mb_s: raw_bytes as f64 / 1e6 / replay_s.max(1e-9),
+            replay_ms,
+            decode_ms,
+            reconstruct_ms: (replay_ms - decode_ms).max(0.0),
+            replay_mb_s: raw_bytes as f64 / 1e3 / replay_ms.max(1e-6),
             rel_err,
             bitwise,
             range_blocks_read,
@@ -169,7 +195,8 @@ fn main() {
         }
         tiers_json.push_str(&format!(
             "    {{\"tier\": \"{}\", \"bytes\": {}, \"ratio\": {:.1}, \
-             \"write_ms\": {:.2}, \"replay_ms\": {:.2}, \"replay_mb_s\": {:.1}, \
+             \"write_ms\": {:.2}, \"replay_ms\": {:.2}, \"decode_ms\": {:.2}, \
+             \"reconstruct_ms\": {:.2}, \"replay_mb_s\": {:.1}, \
              \"rel_err\": {:.3e}, \"bitwise\": {}, \"range_blocks_read\": {}, \
              \"n_blocks\": {}}}",
             r.tier,
@@ -177,6 +204,8 @@ fn main() {
             r.ratio,
             r.write_ms,
             r.replay_ms,
+            r.decode_ms,
+            r.reconstruct_ms,
             r.replay_mb_s,
             r.rel_err,
             r.bitwise,
@@ -198,12 +227,15 @@ fn main() {
     for r in &results {
         println!(
             "tier={:<4} {:>10} bytes ({:.0}x vs raw), write {:.1} ms, replay {:.1} ms \
-             ({:.0} MB/s), rel err {:.1e}{}, range read {}/{} blocks",
+             (decode {:.1} + reconstruct {:.1}; {:.0} MB/s), rel err {:.1e}{}, \
+             range read {}/{} blocks",
             r.tier.as_str(),
             r.bytes,
             r.ratio,
             r.write_ms,
             r.replay_ms,
+            r.decode_ms,
+            r.reconstruct_ms,
             r.replay_mb_s,
             r.rel_err,
             if r.bitwise { " (bitwise)" } else { "" },

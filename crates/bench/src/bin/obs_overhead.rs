@@ -12,6 +12,7 @@
 
 use hpc_linalg::obs::Observer;
 use hpc_linalg::Mat;
+use mrdmd_bench::median;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -35,11 +36,6 @@ fn trial(snap: &Mat, u: &Mat, k: &Mat, v: &Mat) -> f64 {
         black_box(u.matmul_nt(v));
     }
     start.elapsed().as_secs_f64()
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    xs[xs.len() / 2]
 }
 
 fn main() {

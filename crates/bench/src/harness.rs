@@ -24,6 +24,13 @@ pub fn timeit_mean(reps: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
+/// Median of a nonempty sample (the upper middle for an even count);
+/// sorts `xs` in place.
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Collects experiment artefacts (report text, SVGs, JSON rows) under an
 /// output directory.
 pub struct ExperimentOutput {

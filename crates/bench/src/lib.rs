@@ -10,4 +10,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{timeit, timeit_mean, ExperimentOutput, Workloads};
+pub use harness::{median, timeit, timeit_mean, ExperimentOutput, Workloads};

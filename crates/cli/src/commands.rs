@@ -337,15 +337,9 @@ fn fit(o: FitOpts<'_>) -> Result<String, CliError> {
         return Err(CliError("--dt must be positive".into()));
     }
     let data = load_csv(o.input)?;
-    if data.cols() < 2 {
-        return Err(CliError(format!(
-            "fit needs at least two snapshots, got {}",
-            data.cols()
-        )));
-    }
     let strategy = parse_fit_strategy(o.fit_strategy, o.sketch_seed)?;
     let cfg = stream_config(o.dt, o.levels, o.max_cycles, o.threads, strategy)?;
-    let model = IMrDmd::fit(&data, &cfg);
+    let model = IMrDmd::try_fit(&data, &cfg)?;
     save_model(o.model, &model)?;
     Ok(format!(
         "fitted {} series × {} snapshots: {} modes across {} levels → {}",
@@ -567,16 +561,10 @@ fn stream(o: StreamOpts<'_>) -> Result<String, CliError> {
         match &mut model {
             None => {
                 // First chunk: repair it stand-alone, then cold-start.
-                if batch.cols() < 2 {
-                    return Err(CliError(format!(
-                        "cold start needs at least two snapshots, got {}",
-                        batch.cols()
-                    )));
-                }
                 let (clean, rep) = guard.repair(&batch)?;
                 repairs.merge(&rep);
                 let cfg = stream_config(o.dt, o.levels, 2, o.threads, strategy)?;
-                model = Some(IMrDmd::fit(clean.as_ref().unwrap_or(&batch), &cfg));
+                model = Some(IMrDmd::try_fit(clean.as_ref().unwrap_or(&batch), &cfg)?);
             }
             Some(m) => {
                 let report = m.try_partial_fit(&batch, &mut guard)?;
@@ -654,14 +642,11 @@ fn metrics(
     }
     let data = load_csv(input)?;
     let total = data.cols();
-    if total < 2 {
-        return Err(CliError("metrics needs at least two snapshots".into()));
-    }
     let strategy = parse_fit_strategy(fit_strategy, sketch_seed)?;
     imrdmd::obs::reset();
     let cfg = stream_config(dt, levels, 2, 0, strategy)?;
     let first = chunk.min(total);
-    let mut model = IMrDmd::fit(&data.cols_range(0, first), &cfg);
+    let mut model = IMrDmd::try_fit(&data.cols_range(0, first), &cfg)?;
     for lo in (first..total).step_by(chunk) {
         model.partial_fit(&data.cols_range(lo, (lo + chunk).min(total)));
     }
@@ -1234,7 +1219,7 @@ mod tests {
         write_snapshots_csv(&mut fs::File::create(&csv).unwrap(), &one, 0).unwrap();
         for (cmd, want) in [
             ("fit", "fit needs at least two snapshots, got 1"),
-            ("stream", "cold start needs at least two snapshots, got 1"),
+            ("stream", "fit needs at least two snapshots, got 1"),
         ] {
             let model = tmp(&format!("one_snapshot_{cmd}.json"));
             let line = format!(

@@ -407,6 +407,44 @@ fn decode_node(payload: &[u8], tier: QuantTier) -> Result<ModeSet, ArchiveError>
     })
 }
 
+/// Checks a decoded node against what the file says about it: its window
+/// and level must be its index entry's (which [`ArchiveReader::open`]
+/// bounded by the timeline), its rows must lie within the archive's
+/// `n_rows`, and its decimation step must be nonzero. A block that passes
+/// its CRC but fails here was written wrong or on purpose, and replaying
+/// it would read or write outside the output.
+fn check_node(node: &ModeSet, entry: &IndexEntry, n_rows: usize) -> Result<(), ArchiveError> {
+    let what = if (node.start as u64, node.window as u64) != (entry.start, entry.window) {
+        format!(
+            "window [{}, +{}) differs from its index entry [{}, +{})",
+            node.start, node.window, entry.start, entry.window
+        )
+    } else if node.level as u64 != entry.level as u64 {
+        format!(
+            "level {} differs from its index entry's {}",
+            node.level, entry.level
+        )
+    } else if node
+        .row_offset
+        .checked_add(node.modes.rows())
+        .is_none_or(|end| end > n_rows)
+    {
+        format!(
+            "rows {}+{} exceed the archive's {n_rows}",
+            node.row_offset,
+            node.modes.rows()
+        )
+    } else if node.step == 0 {
+        "decimation step is 0".into()
+    } else {
+        return Ok(());
+    };
+    Err(ArchiveError::Codec(format!(
+        "node block at offset {}: {what}",
+        entry.offset
+    )))
+}
+
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
@@ -662,13 +700,11 @@ impl ArchiveReader {
         self.blocks_read
     }
 
-    /// Reconstructs snapshots `[t0, t1)` by streaming only the node
-    /// blocks whose windows overlap the range. At the f64 tier the result
-    /// is bitwise-identical to [`IMrDmd::reconstruct_range`] on the model
-    /// that was archived; at lossy tiers it is within
-    /// [`QuantTier::rel_error_bound`] of the f64 replay.
-    pub fn replay(&mut self, t0: usize, t1: usize) -> Result<Mat, ArchiveError> {
-        let _span = crate::obs::ARCHIVE_NS.span();
+    /// Reads and decodes the node blocks whose windows overlap `[t0, t1)`,
+    /// in file order, each checked against its index entry and the
+    /// archive's shape. These are the nodes [`replay`](Self::replay)
+    /// reconstructs from.
+    pub fn read_nodes(&mut self, t0: usize, t1: usize) -> Result<Vec<ModeSet>, ArchiveError> {
         if t0 > t1 || t1 > self.info.n_steps {
             return Err(ArchiveError::BadRange {
                 t0,
@@ -676,19 +712,26 @@ impl ArchiveReader {
                 n_steps: self.info.n_steps,
             });
         }
-        let admitted: Vec<IndexEntry> = self
-            .index
-            .iter()
-            .filter(|e| e.admits(t0, t1))
-            .copied()
-            .collect();
-        let mut nodes = Vec::with_capacity(admitted.len());
-        for entry in &admitted {
+        let mut nodes = Vec::new();
+        for entry in self.index.iter().filter(|e| e.admits(t0, t1)) {
             let payload = storage::read_block_at(&mut self.file, entry.offset)?;
-            nodes.push(decode_node(&payload, self.info.tier)?);
+            let node = decode_node(&payload, self.info.tier)?;
+            check_node(&node, entry, self.info.n_rows)?;
+            nodes.push(node);
             self.blocks_read += 1;
             crate::obs::ARCHIVE_BLOCKS_READ.inc();
         }
+        Ok(nodes)
+    }
+
+    /// Reconstructs snapshots `[t0, t1)` by streaming only the node
+    /// blocks whose windows overlap the range. At the f64 tier the result
+    /// is bitwise-identical to [`IMrDmd::reconstruct_range`] on the model
+    /// that was archived; at lossy tiers it is within
+    /// [`QuantTier::rel_error_bound`] of the f64 replay.
+    pub fn replay(&mut self, t0: usize, t1: usize) -> Result<Mat, ArchiveError> {
+        let _span = crate::obs::ARCHIVE_NS.span();
+        let nodes = self.read_nodes(t0, t1)?;
         let refs: Vec<&ModeSet> = nodes.iter().collect();
         crate::obs::ARCHIVE_REPLAYS.inc();
         Ok(reconstruct_nodes(
@@ -855,6 +898,44 @@ mod tests {
             assert!(
                 matches!(ArchiveReader::open(&path), Err(ArchiveError::Codec(_))),
                 "window {window}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A node block that passes its CRC but disagrees with its index entry
+    /// or with the archive's shape is a typed error on replay, not a panic
+    /// or a silently wrong reconstruction.
+    #[test]
+    fn node_blocks_disagreeing_with_the_file_are_typed_errors() {
+        let dir = scratch("node-meaning");
+        let model = fitted(8, 128);
+        let path = dir.join("model.arch");
+        write_archive(&model, &path, QuantTier::F64).expect("write");
+        let bytes = std::fs::read(&path).expect("read");
+        let entry = ArchiveReader::open(&path).expect("open").index()[0];
+        let head = entry.offset as usize;
+        let payload = head + storage::FRAME_HEAD;
+        // (field offset in the payload, new value): level, start, window,
+        // step, row_offset.
+        for (field, value) in [
+            (0, entry.level as u64 + 1),
+            (8, u64::MAX - 1),
+            (8, entry.start + 1),
+            (16, entry.window + 1),
+            (24, 0),
+            (32, 1),
+            (32, u64::MAX),
+        ] {
+            let mut bad = bytes.clone();
+            bad[payload + field..payload + field + 8].copy_from_slice(&value.to_le_bytes());
+            let crc = storage::crc32(&bad[payload..payload + entry.len as usize]);
+            bad[head + 4..head + 8].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bad).expect("write");
+            let mut reader = ArchiveReader::open(&path).expect("open: index intact");
+            assert!(
+                matches!(reader.replay_all(), Err(ArchiveError::Codec(_))),
+                "field {field} = {value}"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

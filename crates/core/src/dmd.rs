@@ -576,14 +576,7 @@ impl Dmd {
         };
         let p = self.modes.rows();
         let mut out = Mat::zeros(p, n);
-        node.eval_into(
-            (0..n).map(|k| (k, k)),
-            self.dt,
-            1.0,
-            0..p,
-            out.as_mut_slice(),
-            n,
-        );
+        node.eval_into(0..n, |k| k, self.dt, 1.0, 0, &mut out);
         out
     }
 }

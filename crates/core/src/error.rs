@@ -41,6 +41,14 @@ pub enum CoreError {
         /// Rows the batch carried.
         got_rows: usize,
     },
+    /// A fit was given fewer than two snapshots, so no DMD operator links
+    /// one snapshot to the next.
+    TooFewSnapshots {
+        /// Snapshots available to the fit (after decimation when `step > 1`).
+        got: usize,
+        /// Decimation step of the root stream (1 = raw snapshots).
+        step: usize,
+    },
     /// A background refit thread died (panicked) before delivering a result.
     RefitDead,
     /// Checkpoint persistence or restore failed.
@@ -63,6 +71,13 @@ impl std::fmt::Display for CoreError {
             } => write!(
                 f,
                 "batch has {got_rows} rows but the stream tracks {expected_rows}"
+            ),
+            CoreError::TooFewSnapshots { got, step: 1 } => {
+                write!(f, "fit needs at least two snapshots, got {got}")
+            }
+            CoreError::TooFewSnapshots { got, step } => write!(
+                f,
+                "fit needs at least two snapshots after decimation by {step}, got {got}"
             ),
             CoreError::RefitDead => write!(f, "background refit thread died before finishing"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint: {e}"),

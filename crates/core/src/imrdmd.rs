@@ -243,17 +243,40 @@ pub struct IMrDmd {
 impl IMrDmd {
     /// Initial fit: identical tree to the batch [`MrDmd`] (same root, same
     /// recursion), plus the streaming SVD state for subsequent updates.
+    /// Panics on an out-of-domain configuration or fewer than two
+    /// snapshots; see [`try_fit`](Self::try_fit).
     pub fn fit(data: &Mat, cfg: &IMrDmdConfig) -> IMrDmd {
-        assert!(data.cols() >= 2, "initial fit needs at least two snapshots");
+        match Self::try_fit(data, cfg) {
+            Ok(m) => m,
+            // Preserved legacy contract: the infallible entry point aborts
+            // on input it cannot fit, as its assert used to.
+            #[allow(clippy::panic)]
+            Err(e) => panic!("I-mrDMD fit failed: {e}"),
+        }
+    }
+
+    /// Fallible twin of [`fit`](Self::fit): a configuration outside its
+    /// domain is [`CoreError::InvalidConfig`], and fewer than two snapshots,
+    /// raw or after the root's decimation, is
+    /// [`CoreError::TooFewSnapshots`]. A failed root solve is not an error:
+    /// the root stays empty and is reported degraded, as in a streaming
+    /// round.
+    pub fn try_fit(data: &Mat, cfg: &IMrDmdConfig) -> Result<IMrDmd, CoreError> {
+        cfg.validate()?;
         let p = data.rows();
         let t = data.cols();
+        if t < 2 {
+            return Err(CoreError::TooFewSnapshots { got: t, step: 1 });
+        }
         let root_step = cfg.mr.subsample_step(t);
         let sub = data.subsample_cols(root_step);
         let n_sub = sub.cols();
-        assert!(
-            n_sub >= 2,
-            "decimated root stream needs at least two columns"
-        );
+        if n_sub < 2 {
+            return Err(CoreError::TooFewSnapshots {
+                got: n_sub,
+                step: root_step,
+            });
+        }
         let x = sub.cols_range(0, n_sub - 1);
         let (isvd, sketch) = match cfg.mr.strategy {
             FitStrategy::Exact => (IncrementalSvd::new(&x, cfg.isvd_max_rank.max(1)), None),
@@ -329,7 +352,7 @@ impl IMrDmd {
                 state.last_error = Some(f.cause.clone());
             }
         }
-        state
+        Ok(state)
     }
 
     /// Solves the root DMD from the current streaming SVD and returns the
@@ -395,11 +418,9 @@ impl IMrDmd {
     /// `abs0` and whose row 0 is global sensor row `row0`. Rows the root
     /// does not cover are left as they are.
     fn subtract_root(&self, residual: &mut Mat, abs0: usize, row0: usize) {
-        let (rows, cols) = (row0..row0 + residual.rows(), residual.cols());
-        let at = (0..cols).map(|c| (abs0 + c, c));
-        let dt = self.cfg.mr.dt;
+        let (abs, dt) = (|c| abs0 + c, self.cfg.mr.dt);
         self.root
-            .eval_into(at, dt, -1.0, rows, residual.as_mut_slice(), cols);
+            .eval_into(0..residual.cols(), abs, dt, -1.0, row0, residual);
     }
 
     /// Absorbs a batch of `T₁` new snapshots (columns) and updates the tree
@@ -507,16 +528,12 @@ impl IMrDmd {
             // decimated snapshots (cheap: `O(P·r·n_sub)`).
             if let Some(old_root) = &old_root {
                 let (p, n, dt) = (self.p, old_sub_cols, self.cfg.mr.dt);
-                let at = || (0..n).map(|k| (k * self.root_step, k));
-                let mut diff = vec![0.0; p * n];
-                self.root.eval_into(at(), dt, 1.0, 0..p, &mut diff, n);
-                old_root.eval_into(at(), dt, -1.0, 0..p, &mut diff, n);
+                let abs = |k| k * self.root_step;
+                let mut diff = Mat::zeros(p, n);
+                self.root.eval_into(0..n, abs, dt, 1.0, 0, &mut diff);
+                old_root.eval_into(0..n, abs, dt, -1.0, 0, &mut diff);
                 drift = (0..n)
-                    .map(|k| {
-                        (0..p)
-                            .map(|i| diff[i * n + k] * diff[i * n + k])
-                            .sum::<f64>()
-                    })
+                    .map(|k| (0..p).map(|i| diff[(i, k)] * diff[(i, k)]).sum::<f64>())
                     .fold(0.0, |acc, col| acc + col)
                     .sqrt();
             }
@@ -997,8 +1014,8 @@ impl IMrDmd {
         let (t, dt) = (self.t_total, self.cfg.mr.dt);
         let mut out = Mat::zeros(self.p, horizon);
         for node in self.nodes().filter(|n| n.start + n.window == t) {
-            let at = (0..horizon).map(|h| (t + h, h));
-            node.eval_into(at, dt, 1.0, 0..self.p, out.as_mut_slice(), horizon);
+            let abs = |h| t + h;
+            node.eval_into(0..horizon, abs, dt, 1.0, 0, &mut out);
         }
         out
     }
@@ -1152,6 +1169,26 @@ mod tests {
             omegas: vec![omega],
             amplitudes: vec![amp],
         }
+    }
+
+    #[test]
+    fn try_fit_rejects_fewer_than_two_snapshots() {
+        for t in [0, 1] {
+            let data = Mat::from_fn(4, t, |i, _| i as f64);
+            match IMrDmd::try_fit(&data, &IMrDmdConfig::default()) {
+                Err(CoreError::TooFewSnapshots { got, step: 1 }) => assert_eq!(got, t),
+                other => panic!("{t} snapshots: {:?}", other.map(|m| m.n_steps())),
+            }
+        }
+        let data = Mat::from_fn(4, 2, |i, j| (i + j) as f64);
+        assert!(IMrDmd::try_fit(&data, &IMrDmdConfig::default()).is_ok());
+        // A zero Nyquist factor would divide by zero in the decimation step.
+        let mut cfg = IMrDmdConfig::default();
+        cfg.mr.nyquist_factor = 0;
+        assert!(matches!(
+            IMrDmd::try_fit(&data, &cfg),
+            Err(CoreError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -23,6 +23,15 @@ use std::ops::Range;
 /// spawn would rival the subtree's own arithmetic.
 pub(crate) const PAR_TREE_MIN_ELEMS: usize = 32_768;
 
+/// Output columns [`ModeSet::eval_tiles`] evaluates per tile. A tile's
+/// weights (`2 × k × 64` f64, 16 KiB at 16 modes) stay in L1 while every
+/// row of the node reuses them.
+const COL_TILE: usize = 64;
+
+/// Columns the row loop of [`ModeSet::eval_tiles`] keeps in registers at
+/// once; [`COL_TILE`] is a whole number of them.
+const LANES: usize = 8;
+
 /// Configuration of the multiresolution recursion.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct MrDmdConfig {
@@ -301,25 +310,53 @@ impl ModeSet {
 
     /// Eq. 6 for this node — the one evaluator behind reconstruction
     /// (Eq. 7), the residual step of the recursion (Eq. 8), forecasting and
-    /// the drift scan. For each `(abs, col)` in `cols` it builds the mode
-    /// weights `e^{ω·t}·b` at `t = (abs − start)·dt` once, then adds
-    /// `sign · Re Σⱼ φᵢⱼ·wⱼ` to column `col` of every row of `out` the node
-    /// covers. `out` is row-major with `stride` columns and holds the
-    /// global sensor rows `rows`.
+    /// the drift scan. Output column `c` of `cols` is the snapshot `abs(c)`,
+    /// evaluated at `t = (abs(c) − start)·dt`; the call adds
+    /// `sign · Re Σⱼ φᵢⱼ·e^{ωⱼ·t}·bⱼ` to column `c` of every row of `out` the
+    /// node covers. Row 0 of `out` is global sensor row `row0`.
     ///
     /// Nothing is clipped to the node's window: each caller chooses its
-    /// snapshots (a forecast extrapolates past the window on purpose). Each
-    /// element gets one addition per call, its modes summed in order through
-    /// `c64::mul_add`, so evaluating the nodes in a fixed order gives the same
-    /// bits however `out` is split into row blocks.
+    /// snapshots (a forecast extrapolates past the window on purpose). See
+    /// [`eval_tiles`](Self::eval_tiles) for the operation order.
     pub(crate) fn eval_into(
         &self,
-        cols: impl IntoIterator<Item = (usize, usize)>,
+        cols: Range<usize>,
+        abs: impl Fn(usize) -> usize,
+        dt: f64,
+        sign: f64,
+        row0: usize,
+        out: &mut Mat,
+    ) {
+        let (rows, stride) = (row0..row0 + out.rows(), out.cols());
+        let out = out.as_mut_slice();
+        self.eval_tiles(cols, abs, dt, sign, rows, |row, col, vals| {
+            let at = (row - row0) * stride + col;
+            for (o, &v) in out[at..at + vals.len()].iter_mut().zip(vals) {
+                *o += v;
+            }
+        });
+    }
+
+    /// The Eq. 6 kernel under [`eval_into`](Self::eval_into), one tile of at
+    /// most [`COL_TILE`] consecutive output columns at a time. Per tile it
+    /// builds the weights `e^{ω·t}·b` once, as split re/im arrays. Then, for
+    /// each global row in `rows` the node covers, it accumulates
+    /// `acc + φ.re·w.re − φ.im·w.im` from `acc = 0` over the modes in order
+    /// across the tile's columns (the real part of `c64::mul_add`, which
+    /// never reads the imaginary part), and hands `sign · acc` to
+    /// `add(row, first column, values)`.
+    ///
+    /// Every element's value is therefore the same sum, in the same order,
+    /// however the columns are tiled or the output split between workers:
+    /// evaluating the nodes in a fixed order gives the same bits.
+    pub(crate) fn eval_tiles(
+        &self,
+        cols: Range<usize>,
+        abs: impl Fn(usize) -> usize,
         dt: f64,
         sign: f64,
         rows: Range<usize>,
-        out: &mut [f64],
-        stride: usize,
+        mut add: impl FnMut(usize, usize, &[f64]),
     ) {
         // Node-local rows whose global row (`row_offset + i`) is in `rows`.
         let i0 = rows.start.saturating_sub(self.row_offset);
@@ -327,25 +364,34 @@ impl ModeSet {
             .modes
             .rows()
             .min(rows.end.saturating_sub(self.row_offset));
-        if self.n_modes() == 0 || i0 >= i1 {
+        let k = self.n_modes();
+        if k == 0 || i0 >= i1 || cols.is_empty() {
             return;
         }
-        let mut weights = Vec::new();
-        for (abs, col) in cols {
-            let t = (abs as f64 - self.start as f64) * dt;
-            weights.clear();
-            weights.extend(
-                self.omegas
-                    .iter()
-                    .zip(&self.amplitudes)
-                    .map(|(&w, &b)| (w * t).exp() * b),
-            );
-            for i in i0..i1 {
-                let mut acc = c64::ZERO;
-                for (&phi, &w) in self.modes.row(i).iter().zip(&weights) {
-                    acc = acc.mul_add(phi, w);
+        // Weights in blocks of LANES columns, laid out block-major so one
+        // block's weights for every mode are contiguous: `w_re[b·k + j]`
+        // holds mode j at the block's columns. A ragged tile is padded to
+        // whole blocks; the padding columns are computed and dropped.
+        let tile = COL_TILE.min(cols.len().next_multiple_of(LANES));
+        let blocks = tile / LANES;
+        let mut weights = vec![[0.0; LANES]; 2 * k * blocks];
+        let (w_re, w_im) = weights.split_at_mut(k * blocks);
+        let mut acc = [0.0; COL_TILE];
+        for c0 in cols.clone().step_by(tile) {
+            let n = tile.min(cols.end - c0);
+            for c in 0..n {
+                let t = (abs(c0 + c) as f64 - self.start as f64) * dt;
+                let (b, l) = (c / LANES, c % LANES);
+                for (j, (&w, &a)) in self.omegas.iter().zip(&self.amplitudes).enumerate() {
+                    let v = (w * t).exp() * a;
+                    w_re[b * k + j][l] = v.re;
+                    w_im[b * k + j][l] = v.im;
                 }
-                out[(self.row_offset + i - rows.start) * stride + col] += sign * acc.re;
+            }
+            let nb = n.div_ceil(LANES);
+            for i in i0..i1 {
+                row_blocks(self.modes.row(i), w_re, w_im, nb, sign, &mut acc);
+                add(self.row_offset + i, c0, &acc[..n]);
             }
         }
     }
@@ -379,6 +425,70 @@ impl ModeSet {
     pub fn total_power(&self) -> f64 {
         self.powers().iter().sum()
     }
+}
+
+/// One row of [`ModeSet::eval_tiles`]: for the first `nb` blocks of
+/// [`LANES`] columns, `acc = sign · Σⱼ (φⱼ.re·w_re − φⱼ.im·w_im)` with
+/// the modes in order, each block's sums held in registers. Runs the AVX2
+/// build of the loop on CPUs that have AVX2 (the check is a cached load).
+fn row_blocks(
+    phi: &[c64],
+    w_re: &[[f64; LANES]],
+    w_im: &[[f64; LANES]],
+    nb: usize,
+    sign: f64,
+    acc: &mut [f64; COL_TILE],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU reports AVX2, the one feature the callee enables.
+        return unsafe { row_blocks_avx2(phi, w_re, w_im, nb, sign, acc) };
+    }
+    row_blocks_portable(phi, w_re, w_im, nb, sign, acc)
+}
+
+/// The portable build of [`row_blocks`].
+#[inline(always)]
+fn row_blocks_portable(
+    phi: &[c64],
+    w_re: &[[f64; LANES]],
+    w_im: &[[f64; LANES]],
+    nb: usize,
+    sign: f64,
+    acc: &mut [f64; COL_TILE],
+) {
+    let k = phi.len();
+    let blocks = w_re.chunks_exact(k).zip(w_im.chunks_exact(k));
+    for ((re, im), out) in blocks.zip(acc.chunks_exact_mut(LANES)).take(nb) {
+        let mut a = [0.0; LANES];
+        for ((p, wr), wi) in phi.iter().zip(re).zip(im) {
+            for l in 0..LANES {
+                a[l] = a[l] + p.re * wr[l] - p.im * wi[l];
+            }
+        }
+        for l in 0..LANES {
+            out[l] = sign * a[l];
+        }
+    }
+}
+
+/// [`row_blocks_portable`] compiled for AVX2. Only AVX2 is enabled, not
+/// FMA, and Rust never fuses a multiply and an add on its own, so every
+/// lane does the portable build's mul/add sequence and gives its bits.
+///
+/// # Safety
+/// Callable only on a CPU that supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn row_blocks_avx2(
+    phi: &[c64],
+    w_re: &[[f64; LANES]],
+    w_im: &[[f64; LANES]],
+    nb: usize,
+    sign: f64,
+    acc: &mut [f64; COL_TILE],
+) {
+    row_blocks_portable(phi, w_re, w_im, nb, sign, acc)
 }
 
 /// A fitted multiresolution DMD: the flattened tree of per-node mode sets.
@@ -519,11 +629,13 @@ impl MrDmd {
 }
 
 /// Sums every node's contribution over absolute snapshots `[t0, t1)` into a
-/// fresh `n_rows × (t1 − t0)` matrix, fanning the output's row blocks across
-/// `pool`. Each block walks the nodes in the given order, so every element
-/// sees exactly the serial pass's additions in the serial order — the result
-/// is bitwise-identical at any thread count (the chunk size is fixed, not
-/// derived from the pool).
+/// fresh `n_rows × (t1 − t0)` matrix, fanning the output's column tiles
+/// across `pool`. A task owns the row segments of one tile of whole
+/// [`COL_TILE`]s, at least `PAR_TREE_MIN_ELEMS` elements, and walks the
+/// nodes in the given order, so each (node, column) weight is built once
+/// and every element sees exactly the serial pass's additions in the
+/// serial order — the result is bitwise-identical at any thread count (the
+/// tile width is fixed, not derived from the pool).
 pub(crate) fn reconstruct_nodes(
     nodes: &[&ModeSet],
     n_rows: usize,
@@ -537,24 +649,35 @@ pub(crate) fn reconstruct_nodes(
     if width == 0 || n_rows == 0 {
         return out;
     }
-    let chunk_rows = (PAR_TREE_MIN_ELEMS / width).clamp(1, n_rows);
-    let mut blocks: Vec<(usize, &mut [f64])> = out
-        .as_mut_slice()
-        .chunks_mut(chunk_rows * width)
-        .enumerate()
-        .map(|(ci, s)| (ci * chunk_rows, s))
+    let tile_cols = (PAR_TREE_MIN_ELEMS / n_rows).div_ceil(COL_TILE).max(1) * COL_TILE;
+    let mut tiles: Vec<(usize, Vec<&mut [f64]>)> = (0..width.div_ceil(tile_cols))
+        .map(|t| (t * tile_cols, Vec::with_capacity(n_rows)))
         .collect();
-    pool.for_each(&mut blocks, &|(grow0, block)| {
-        let rows = *grow0..*grow0 + block.len() / width;
+    for row in out.as_mut_slice().chunks_mut(width) {
+        for ((_, segs), seg) in tiles.iter_mut().zip(row.chunks_mut(tile_cols)) {
+            segs.push(seg);
+        }
+    }
+    pool.for_each(&mut tiles, &|(c0, segs)| {
+        let c0 = *c0;
+        let (lo, hi) = (t0 + c0, t0 + c0 + segs[0].len());
         for node in nodes {
-            let cols = node.start.max(t0)..(node.start + node.window).min(t1);
-            node.eval_into(
-                cols.map(|abs| (abs, abs - t0)),
+            let (a, b) = (node.start.max(lo), (node.start + node.window).min(hi));
+            if a >= b {
+                continue;
+            }
+            node.eval_tiles(
+                a - t0..b - t0,
+                |c| t0 + c,
                 dt,
                 1.0,
-                rows.clone(),
-                block,
-                width,
+                0..n_rows,
+                |row, col, vals| {
+                    let seg = &mut segs[row][col - c0..col - c0 + vals.len()];
+                    for (o, &v) in seg.iter_mut().zip(vals) {
+                        *o += v;
+                    }
+                },
             );
         }
     });
@@ -607,9 +730,8 @@ pub(crate) fn fit_tree(
                     // Subtract the slow reconstruction at full resolution
                     // before recursing (Eq. 8, second term) — in place on
                     // the shared buffer.
-                    let (rows, stride) = (row_offset..row_offset + work.rows(), work.cols());
-                    let cols = (lo..hi).map(|c| (buf_abs0 + c, c));
-                    node.eval_into(cols, cfg.dt, -1.0, rows, work.as_mut_slice(), stride);
+                    let abs = |c| buf_abs0 + c;
+                    node.eval_into(lo..hi, abs, cfg.dt, -1.0, row_offset, work);
                     nodes.push(node);
                 }
             }
@@ -928,6 +1050,51 @@ mod tests {
         let summary = m.tree_summary();
         assert!(summary.contains("level 1:"));
         assert_eq!(summary.lines().count(), m.depth());
+    }
+
+    /// The drift scan's strided column map (`abs = k · step`) over several
+    /// tiles, the last one ragged, gives each column the bits a one-column
+    /// call gives it, on a row block that starts inside the node.
+    #[test]
+    fn strided_columns_match_per_column_evaluation() {
+        let dt = 0.5;
+        let data = multiscale_data(10, 512, dt);
+        let m = MrDmd::fit(&data, &cfg(dt, 3));
+        let node = m.nodes.iter().max_by_key(|n| n.n_modes()).expect("a node");
+        assert!(node.n_modes() >= 2);
+        let (n, step, row0) = (3 * COL_TILE + 7, 3, 2);
+        let abs = |k| node.start + k * step;
+        let mut tiled = Mat::zeros(8, n);
+        node.eval_into(0..n, abs, dt, -1.0, row0, &mut tiled);
+        let mut single = Mat::zeros(8, n);
+        for k in 0..n {
+            node.eval_into(k..k + 1, abs, dt, -1.0, row0, &mut single);
+        }
+        assert!(tiled.as_slice().iter().any(|&v| v != 0.0));
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tiled), bits(&single));
+    }
+
+    /// Both builds of the row loop give the same bits, so the suite's
+    /// bitwise checks hold on CPUs with and without AVX2.
+    #[test]
+    fn row_kernel_builds_agree() {
+        let k = 5;
+        let phi: Vec<c64> = (0..k)
+            .map(|j| c64::new((j as f64 * 1.3).sin(), (j as f64 * 0.7).cos() * 1e-3))
+            .collect();
+        let w = |seed: f64| -> Vec<[f64; LANES]> {
+            (0..k * COL_TILE / LANES)
+                .map(|b| std::array::from_fn(|l| ((b * LANES + l) as f64 * seed).sin() * 1e3))
+                .collect()
+        };
+        let (w_re, w_im) = (w(0.37), w(0.91));
+        let (mut portable, mut dispatched) = ([0.0; COL_TILE], [0.0; COL_TILE]);
+        let nb = COL_TILE / LANES;
+        row_blocks_portable(&phi, &w_re, &w_im, nb, -1.0, &mut portable);
+        row_blocks(&phi, &w_re, &w_im, nb, -1.0, &mut dispatched);
+        assert!(portable.iter().all(|v| v.is_finite() && *v != 0.0));
+        assert_eq!(portable.map(f64::to_bits), dispatched.map(f64::to_bits));
     }
 
     #[test]

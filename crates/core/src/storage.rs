@@ -38,27 +38,59 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 30;
 // Checksum
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the bytewise table, and `CRC_TABLES[k][b]` advances `CRC_TABLES[k − 1][b]`
+/// by one more zero byte, so eight tables fold eight input bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected) of `data`, eight bytes per table step
+/// (slice-by-8); the tail is folded a byte at a time.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -492,6 +524,33 @@ mod tests {
         // IEEE 802.3 reference values.
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The slice-by-8 fold equals the bytewise definition at every length
+    /// across the 8-byte step and its tail, and at unaligned offsets.
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        fn bytewise(data: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in data {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 == 1 {
+                        0xEDB8_8320 ^ (crc >> 1)
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            crc ^ 0xFFFF_FFFF
+        }
+        let buf: Vec<u8> = (0..96u32).map(|i| (i * 151 + 7) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=70 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(crc32(data), bytewise(data), "offset {offset}, len {len}");
+            }
+        }
     }
 
     #[test]

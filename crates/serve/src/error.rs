@@ -61,6 +61,7 @@ impl ServeError {
             ServeError::ShardCorrupt { .. } => 503,
             ServeError::OutOfOrder { .. } => 409,
             ServeError::Core(e) => match e {
+                CoreError::TooFewSnapshots { .. } => 400,
                 CoreError::ShapeMismatch { .. } => 409,
                 CoreError::NonFinite { .. } | CoreError::InvalidConfig { .. } => 422,
                 _ => 500,

@@ -273,15 +273,9 @@ impl Shard {
         }
         let (clean, report) = match &mut self.model {
             None => {
-                if batch.cols() < 2 {
-                    return Err(ServeError::BadBody(format!(
-                        "cold-start batch needs at least 2 snapshots, got {}",
-                        batch.cols()
-                    )));
-                }
                 let mut guard = IngestGuard::new(policy, batch.rows());
                 let (clean, _rep) = guard.repair(batch)?;
-                self.model = Some(IMrDmd::fit(clean.as_ref().unwrap_or(batch), cfg));
+                self.model = Some(IMrDmd::try_fit(clean.as_ref().unwrap_or(batch), cfg)?);
                 self.guard = Some(guard);
                 (clean, None)
             }
@@ -570,6 +564,21 @@ mod tests {
         assert_eq!(r1.steps, 200);
         assert!(r1.report.is_some());
         assert!(shard.health().is_ok());
+    }
+
+    #[test]
+    fn one_snapshot_cold_start_is_400() {
+        let sc = Scenario::sc_log(theta().scaled(4), 1, 3);
+        let mut shard = Shard::new("t0", None);
+        let err = shard
+            .ingest(&sc.generate(0, 1), Some(0), &cfg(), GapPolicy::Interpolate)
+            .unwrap_err();
+        assert_eq!(err.status(), 400);
+        assert!(
+            err.to_string().contains("at least two snapshots, got 1"),
+            "{err}"
+        );
+        assert_eq!(shard.state(), ShardState::Empty);
     }
 
     #[test]

@@ -92,10 +92,13 @@ fn scratch(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn naive_eq6_oracle_matches_reconstruction_forecast_and_replay() {
-    // 40 rows × 2048 snapshots: 81 920 elements, so `reconstruct_range`
-    // splits the output into three row blocks (16 + 16 + 8 rows). The tree
-    // mixes a batch fit, a streamed round and an `add_series` subtree, so
-    // nodes with a nonzero `row_offset` take part.
+    // 40 rows × 2048 snapshots. The evaluator works in tiles of 64
+    // columns, and `reconstruct_range` hands each worker a column tile of
+    // at least 32 768 elements (832 columns at 40 rows), so the full range
+    // splits 832 + 832 + 384 with a ragged last tile. The tree mixes a
+    // batch fit, a streamed round and an `add_series` subtree, so nodes
+    // with a nonzero `row_offset` take part, and its deepest windows (32
+    // and 112 snapshots) are narrower than a tile or end mid-tile.
     let data = signal(40, 2048);
     let mut reference: Option<Vec<u64>> = None;
     for n_threads in [1usize, 2, 4] {
@@ -104,9 +107,18 @@ fn naive_eq6_oracle_matches_reconstruction_forecast_and_replay() {
         model.add_series(&data.rows_range(36, 40));
         assert_eq!((model.n_rows(), model.n_steps()), (40, 2048));
         assert!(model.nodes().any(|n| n.row_offset == 36 && n.n_modes() > 0));
+        assert!(model.nodes().any(|n| n.window < 64 && n.n_modes() > 0));
 
+        // The full range; ranges starting and ending mid-tile; one narrower
+        // than a tile that straddles node boundaries at 1024 and 1792.
         let in_window = |n: &ModeSet, abs: usize| abs >= n.start && abs < n.start + n.window;
-        for (t0, t1) in [(0, 2048), (100, 1900)] {
+        for (t0, t1) in [
+            (0, 2048),
+            (100, 1900),
+            (37, 1830),
+            (1000, 1030),
+            (1770, 1801),
+        ] {
             let want = oracle(&model, t0..t1, in_window);
             let what = format!("reconstruct_range({t0}, {t1}) at n_threads {n_threads}");
             assert_bitwise(&model.reconstruct_range(t0, t1), &want, &what);
